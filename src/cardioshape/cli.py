@@ -16,7 +16,7 @@ import numpy as np
 from . import io as cio
 from . import ssm as cssm
 from .fitting import FitConfig, fit_sequence
-from .mesh import MeshSequence, devectorize, rigid_align, vectorize
+from .mesh import MeshSequence, Topology, devectorize, rigid_align, vectorize
 from .motion import eval_intersections, mc_optimize
 from .objectives import LossWeights
 from .phenotypes import phenotype_table
@@ -177,7 +177,6 @@ def cmd_fit(args):
         dims_fine=tuple(args.dims_fine),
         iterations=args.iterations,
         lr=args.lr,
-        seed=args.seed,
     )
     seq, grids, trace = fit_sequence(template, targets, cfg)
     out = Path(args.out)
@@ -192,7 +191,7 @@ def cmd_fit(args):
     from .objectives import surface_distances
 
     rows = []
-    subject = Path(args.targets).stem
+    subject = Path(args.out).name
     for t in range(seq.n_frames):
         for s in STRUCTURES:
             sd = surface_distances(seq.frames[t][s].vertices, targets.points(t, s))
@@ -202,54 +201,56 @@ def cmd_fit(args):
     return 0
 
 
-def _load_population_vectors(data_dir, template):
+def _subject_dirs(data_dir):
     data_dir = Path(data_dir)
     subject_dirs = sorted(
         d for d in data_dir.iterdir() if d.is_dir() and d.name.startswith("subject_")
     )
     if not subject_dirs:
         raise cio.ValidationError(f"{data_dir}: no subject_* directories")
-    vectors = []
-    for d in subject_dirs:
-        seq = cio.load_sequence(d / "meshes")
-        aligned_frames = []
-        for frame in seq.frames:
-            _, _, _, aligned = rigid_align(frame, template)
-            aligned_frames.append(aligned)
-        vectors.append(vectorize(MeshSequence(aligned_frames)))
-    return subject_dirs, np.stack(vectors)
+    return subject_dirs
+
+
+def _to_model_space(seq, template):
+    """Rigidly align every frame to the template (Umeyama 1991).
+
+    The shape model lives in this space: training, encoding, completion and
+    correlation maps all map meshes through here, so a rigidly moved subject
+    gets the same descriptor.  Frames are aligned one by one, which also
+    discards whole-heart translation over the cycle.
+    """
+    return MeshSequence([rigid_align(frame, template)[3] for frame in seq.frames])
 
 
 def cmd_ssm(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    template = cio.load_chamber_set(args.template)
     if args.action == "train":
-        template_seq = cio.load_sequence(args.template)
-        template = template_seq.frames[0]
-        dirs, vectors = _load_population_vectors(args.data, template)
-        from .mesh import Topology
-
-        n_frames = int(vectors.shape[1] // (3 * template.total_vertices))
-        topology = Topology.from_chamber_set(template, n_frames)
-        model = cssm.ShapeModel(n_components=args.components, topology=topology)
-        batch = args.batch_size
-        for start in range(0, len(vectors), batch):
-            cssm.ipca_partial_fit(model, vectors[start : start + batch])
-        cio.save_model(out / "model.hssm", model, topology)
+        if args.batch_size < 1:
+            raise cio.ValidationError("--batch-size must be >= 1")
+        # Streamed: only one --batch-size group of subjects is held at a time.
+        dirs = _subject_dirs(args.data)
+        model = None
+        for start in range(0, len(dirs), args.batch_size):
+            batch = np.stack(
+                [
+                    vectorize(_to_model_space(cio.load_sequence(d / "meshes"), template))
+                    for d in dirs[start : start + args.batch_size]
+                ]
+            )
+            if model is None:
+                n_frames = batch.shape[1] // (3 * template.total_vertices)
+                topology = Topology.from_chamber_set(template, n_frames)
+                model = cssm.ShapeModel(n_components=args.components, topology=topology)
+            cssm.ipca_partial_fit(model, batch)
+        cio.save_model(out / "model.hssm", model, model.topology)
         return 0
 
-    template_seq = cio.load_sequence(args.template)
-    template = template_seq.frames[0]
-    from .mesh import Topology
-
-    model_path = args.model
-    raw = cio.load_model(model_path)
-    n_frames = int(raw.dim // (3 * template.total_vertices))
-    topology = Topology.from_chamber_set(template, n_frames)
-    model = cio.load_model(model_path, topology)
-
+    model = cio.load_model(args.model, template)
+    topology = model.topology
     if args.action == "encode":
-        seq = cio.load_sequence(args.meshes)
+        seq = _to_model_space(cio.load_sequence(args.meshes), template)
         w = cssm.encode(model, vectorize(seq))
         cio.save_features_csv(out / "descriptor.csv", w[None, :])
         return 0
@@ -261,19 +262,25 @@ def cmd_ssm(args):
     if args.action == "fit-contours":
         targets = cio.load_target_clouds(args.contours)
         contours = [dict(frame) for frame in targets.frames]
-        lr = 0.05 if args.lr is None else args.lr
-        iters = 500 if args.iterations is None else args.iterations
-        w = cssm.fit_to_contours(model, contours, lr=lr, iters=iters)
+        w = cssm.fit_to_contours(model, contours, lr=args.lr, iters=args.iterations)
         cio.save_features_csv(out / "descriptor.csv", w[None, :])
         return 0
     if args.action == "complete":
         seq = cio.load_sequence(args.meshes)
+        if seq.n_frames != topology.n_frames:
+            raise cio.ValidationError(
+                f"{args.meshes}: {seq.n_frames} frames, the model has {topology.n_frames}"
+            )
         observed = np.zeros(topology.n_frames, dtype=bool)
         for t in args.observed.split(","):
             observed[int(t)] = True
-        lr = 0.1 if args.lr is None else args.lr
-        iters = 200 if args.iterations is None else args.iterations
-        full = cssm.complete_sequence(model, seq, observed, lr=lr, iters=iters)
+        # Unobserved frames may be placeholders, so only observed ones are aligned.
+        shown = np.flatnonzero(observed)
+        aligned = _to_model_space(MeshSequence([seq[t] for t in shown]), template)
+        frames = list(seq.frames)
+        for t, frame in zip(shown, aligned.frames):
+            frames[t] = frame
+        full = cssm.complete_sequence(model, MeshSequence(frames), observed)
         cio.save_sequence(out / "meshes", full)
         return 0
     if args.action == "modes":
@@ -284,15 +291,9 @@ def cmd_ssm(args):
 
 
 def cmd_pheno(args):
-    data_dir = Path(args.data)
-    subject_dirs = sorted(
-        d for d in data_dir.iterdir() if d.is_dir() and d.name.startswith("subject_")
-    )
-    if not subject_dirs:
-        raise cio.ValidationError(f"{data_dir}: no subject_* directories")
     tables = []
     ids = []
-    for d in subject_dirs:
+    for d in _subject_dirs(args.data):
         mesh_dir = d / "meshes" if (d / "meshes").exists() else d
         seq = cio.load_sequence(mesh_dir)
         tables.append(phenotype_table(seq))
@@ -304,33 +305,32 @@ def cmd_pheno(args):
 
 
 def cmd_corr(args):
-    model = cio.load_model(args.model)
-    template_seq = cio.load_sequence(args.template)
-    template = template_seq.frames[0]
-    from .mesh import Topology
-
-    n_frames = int(model.dim // (3 * template.total_vertices))
-    topology = Topology.from_chamber_set(template, n_frames)
-    model = cio.load_model(args.model, topology)
-    mean_seq = devectorize(model.mean, topology)
-    data_dir = Path(args.data)
-    subject_dirs = sorted(
-        d for d in data_dir.iterdir() if d.is_dir() and d.name.startswith("subject_")
+    template = cio.load_chamber_set(args.template)
+    model = cio.load_model(args.model, template)
+    subject_dirs = _subject_dirs(args.data)
+    _, values = cio.load_features_csv(args.attributes)
+    if len(values) != len(subject_dirs):
+        raise cio.ValidationError(
+            f"{args.attributes}: {len(values)} attribute rows for "
+            f"{len(subject_dirs)} subject_* directories in {args.data}"
+        )
+    mean_seq = devectorize(model.mean, model.topology)
+    fields = np.stack(
+        [
+            signed_variation(
+                _to_model_space(cio.load_sequence(d / "meshes"), template), mean_seq
+            )
+            for d in subject_dirs
+        ]
     )
-    fields = []
-    for d in subject_dirs:
-        seq = cio.load_sequence(d / "meshes")
-        fields.append(signed_variation(seq, mean_seq))
-    fields = np.stack(fields)
-    ids, values = cio.load_features_csv(args.attributes)
     names = [f"f{j}" for j in range(values.shape[1])]
     col = names.index(args.attribute) if args.attribute in names else int(
         args.attribute.lstrip("f")
     )
-    r, p, significant = vertex_correlation(fields, values[: len(fields), col])
+    r, p, significant = vertex_correlation(fields, values[:, col])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cio.save_correlation_csv(out / "correlation.csv", topology, r, p, significant)
+    cio.save_correlation_csv(out / "correlation.csv", model.topology, r, p, significant)
     return 0
 
 
@@ -448,8 +448,8 @@ def build_parser():
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--pc", type=int, default=0)
     p.add_argument("--sd", type=float, default=2.0)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--iterations", type=int, default=500)
     _add_common(p)
     p.set_defaults(func=cmd_ssm)
 

@@ -29,7 +29,6 @@ class FitConfig:
     # Exponential decay of the step size over each stage; the final step is
     # lr * lr_final_frac.  Shrinks Adam's oscillation floor near convergence.
     lr_final_frac: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         for dims in (self.dims_coarse, self.dims_mid, self.dims_fine):

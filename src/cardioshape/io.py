@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ffd import ControlGrid
-from .mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh
+from .mesh import STRUCTURES, ChamberSet, MeshSequence, Topology, TriMesh
 
 
 class ValidationError(Exception):
@@ -337,7 +337,12 @@ def save_model(path, model, topology):
         fh.write(np.ascontiguousarray(model.components, dtype="<f8").tobytes())
 
 
-def load_model(path, topology=None):
+def load_model(path, template=None):
+    """Read a ``.hssm`` model.
+
+    Given the template ChamberSet, the model's topology is built from it and
+    the header's frame count, and must match the stored digest.
+    """
     from .ssm import ShapeModel
 
     with open(path, "rb") as fh:
@@ -352,12 +357,12 @@ def load_model(path, topology=None):
         raise ValidationError(f"{path}: bad magic {magic!r}, expected 'HSSM'")
     if version != _HSSM_VERSION:
         raise ValidationError(f"{path}: unsupported version {version}")
-    if topology is not None:
-        if topology.digest() != digest:
-            raise ValidationError(
-                f"{path}: topology digest mismatch; the model was trained on a "
-                "different template/frame count"
-            )
+    topology = None if template is None else Topology.from_chamber_set(template, t)
+    if topology is not None and topology.digest() != digest:
+        raise ValidationError(
+            f"{path}: topology digest mismatch; the model was trained on a "
+            "different template"
+        )
     dim = 3 * t * n_vertices
     expected = head_size + 8 * (dim + k + k * dim)
     if len(raw) != expected:

@@ -40,8 +40,3 @@ class Adam:
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
         return params - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-
-def adam_step(state, params, grads):
-    """Functional single step: ``state`` is an Adam instance, mutated in place."""
-    return state.step(params, grads)

@@ -3,15 +3,18 @@
 The model is a mean vector plus orthonormal principal directions learnt by
 incremental PCA (sequential Karhunen-Loeve updates over mini-batches), so a
 population far larger than memory can be streamed through.  Descriptors are
-the projection weights; fitting to partial observations (sparse contours,
-missing frames) optimises those weights with Adam in variance-whitened
-coordinates, which makes the stated learning rates scale-free.
+the projection weights.  Completing missing frames is a linear least-squares
+problem solved in closed form; only sparse-contour fitting, whose
+nearest-neighbour matching has no closed form, optimises the weights with
+Adam.  Both work in variance-whitened coordinates, which makes the contour
+learning rate scale-free.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh import devectorize
+from .mesh import devectorize, vectorize
+from .objectives import _safe_unit
 from .optim import Adam
 
 
@@ -266,9 +269,9 @@ def fit_to_contours(model, contours, lr=0.05, iters=500):
                 # structures absent from this frame carry zero weight, so
                 # their (huge cross-block) matches never contribute
                 value += float(d_vp @ vw[:, 0])
-                gf += _safe_unit_rows(shifted - pts[idx_vp], d_vp) * vw
+                gf += _safe_unit(shifted - pts[idx_vp], d_vp) * vw
                 value += float(d_pv @ lab["point_weight"][:, 0])
-                back = _safe_unit_rows(shifted[idx_pv] - pts, d_pv)
+                back = _safe_unit(shifted[idx_pv] - pts, d_pv)
                 np.add.at(gf, idx_pv, back * lab["point_weight"])
             for pts, tree in info["union"]:
                 d_vp, idx_vp = tree.query(frame)
@@ -277,8 +280,8 @@ def fit_to_contours(model, contours, lr=0.05, iters=500):
                 )
                 d_pv, idx_pv = vert_tree.query(pts)
                 value += d_vp.mean() + d_pv.mean()
-                gf += _safe_unit_rows(frame - pts[idx_vp], d_vp) / len(frame)
-                back = _safe_unit_rows(frame[idx_pv] - pts, d_pv) / len(pts)
+                gf += _safe_unit(frame - pts[idx_vp], d_vp) / len(frame)
+                back = _safe_unit(frame[idx_pv] - pts, d_pv) / len(pts)
                 np.add.at(gf, idx_pv, back)
         if value < best[0]:
             best = (value, z.copy())
@@ -287,21 +290,15 @@ def fit_to_contours(model, contours, lr=0.05, iters=500):
     return scale * best[1]
 
 
-def _safe_unit_rows(diff, dist):
-    out = np.zeros_like(diff)
-    nz = dist > 0
-    out[nz] = diff[nz] / dist[nz, None]
-    return out
-
-
-def complete_sequence(model, partial, observed, lr=0.1, iters=200):
+def complete_sequence(model, partial, observed):
     """Reconstruct a full sequence from a subset of observed frames.
 
-    ``observed`` is a boolean mask over frames with at least one True entry.
-    Descriptor weights are optimised to minimise the mean squared per-vertex
-    distance on the observed frames (the exact minimiser of that objective
-    is the orthogonal projection, so observing every frame reproduces the
-    encode/decode reconstruction); the decoded full sequence is returned.
+    ``observed`` is a boolean mask over frames with at least one True entry;
+    unobserved frames of ``partial`` are never read.  The descriptor weights
+    minimise the squared distance on the observed frames: the minimum-norm
+    least-squares solution in whitened coordinates, so observing every frame
+    reproduces the encode/decode reconstruction.  The decoded full sequence
+    is returned.
     """
     model.require_trained()
     topology = model.topology
@@ -314,33 +311,15 @@ def complete_sequence(model, partial, observed, lr=0.1, iters=200):
         )
     if not observed.any():
         raise ValueError("at least one frame must be observed")
-    from .mesh import vectorize
-
     target = vectorize(partial)
     if target.shape != (model.dim,):
         raise ValueError("partial sequence does not match model dimension")
-    slices = [sl for sl, obs in zip(_frame_slices(topology), observed) if obs]
-    n_obs = len(slices)
-    n_vertices = topology.total_vertices
-    norm = 1.0 / (n_obs * n_vertices)
-
+    per_frame = 3 * topology.total_vertices
+    rows = (per_frame * np.flatnonzero(observed)[:, None] + np.arange(per_frame)).ravel()
     scale = _whiten_scale(model)
-    z = np.zeros(model.n_active)
-    adam = Adam(lr=lr)
-    best = (np.inf, z.copy())
-    for _ in range(iters):
-        w = scale * z
-        vec = decode(model, w)
-        value = 0.0
-        g_w = np.zeros(model.n_active)
-        for sl in slices:
-            residual = vec[sl] - target[sl]
-            value += float(residual @ residual) * norm
-            g_w += 2.0 * norm * (model.components[:, sl] @ residual)
-        if value < best[0]:
-            best = (value, z.copy())
-        z = adam.step(z, scale * g_w)
-    return devectorize(decode(model, scale * best[1]), topology)
+    a = model.components[:, rows].T * scale
+    z = np.linalg.lstsq(a, target[rows] - model.mean[rows], rcond=None)[0]
+    return devectorize(decode(model, scale * z), topology)
 
 
 def sample_mode(model, pc_index, multiplier):

@@ -4,9 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from cardioshape import io as cio
-from cardioshape.cli import main
+from cardioshape.cli import _to_model_space, main
+from cardioshape.mesh import MeshSequence, devectorize, vectorize
+
+from conftest import toy_chamber_set, toy_sequence
 
 
 @pytest.fixture(scope="module")
@@ -64,14 +70,9 @@ def model_dir(synth_dir, tmp_path_factory):
 class TestSsmCommands:
 
     def test_encode_mean_is_zero(self, synth_dir, model_dir, tmp_path):
-        model = cio.load_model(model_dir / "model.hssm")
-        from cardioshape.mesh import devectorize, Topology
-
         template = cio.load_chamber_set(synth_dir / "template")
-        topo = Topology.from_chamber_set(
-            template, int(model.dim // (3 * template.total_vertices))
-        )
-        mean_seq = devectorize(model.mean, topo)
+        model = cio.load_model(model_dir / "model.hssm", template)
+        mean_seq = devectorize(model.mean, model.topology)
         cio.save_sequence(tmp_path / "mean_seq", mean_seq)
         rc = main(
             [
@@ -110,29 +111,47 @@ class TestSsmCommands:
         assert (tmp_path / "modes" / "mode_0_+2sd" / "manifest.json").exists()
 
 
-class TestPipelineCommands:
-    def test_fit_and_pheno(self, synth_dir, tmp_path):
+@pytest.fixture(scope="module")
+def fit_dir(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fit")
+    for subject in ("subject_000", "subject_001"):
         rc = main(
             [
                 "fit", "--template", str(synth_dir / "template"),
-                "--targets", str(synth_dir / "subject_000" / "targets.bin"),
+                "--targets", str(synth_dir / subject / "targets.bin"),
                 "--iterations", "10", "--lr", "0.5",
                 "--dims-coarse", "4", "4", "4",
                 "--dims-mid", "5", "5", "5",
                 "--dims-fine", "6", "6", "6",
-                "--out", str(tmp_path / "fit" / "subject_000"),
+                "--out", str(out / subject),
             ]
         )
         assert rc == 0
-        assert (tmp_path / "fit" / "subject_000" / "loss_trace.csv").exists()
-        metrics = (tmp_path / "fit" / "subject_000" / "fit_metrics.csv").read_text()
+    return out
+
+
+class TestPipelineCommands:
+    def test_fit_and_pheno(self, fit_dir, tmp_path):
+        assert (fit_dir / "subject_000" / "loss_trace.csv").exists()
+        metrics = (fit_dir / "subject_000" / "fit_metrics.csv").read_text()
         assert metrics.startswith("subject_id,frame,structure,metric,value")
-        grids = cio.load_grids(tmp_path / "fit" / "subject_000" / "grids.bin")
+        grids = cio.load_grids(fit_dir / "subject_000" / "grids.bin")
         assert len(grids) == 2 + 3  # coarse + mid + one fine grid per frame
-        rc = main(["pheno", "--data", str(tmp_path / "fit"), "--out", str(tmp_path)])
+        rc = main(["pheno", "--data", str(fit_dir), "--out", str(tmp_path)])
         assert rc == 0
         text = (tmp_path / "phenotypes.csv").read_text()
         assert text.startswith("subject_id,LVM (g)")
+
+    def test_fit_metrics_subject_ids(self, fit_dir, tmp_path):
+        ids = []
+        for subject in ("subject_000", "subject_001"):
+            lines = (fit_dir / subject / "fit_metrics.csv").read_text().splitlines()
+            ids.append({line.split(",")[0] for line in lines[1:]})
+        assert ids == [{"subject_000"}, {"subject_001"}]
+        # the same ids as the phenotype table's rows
+        assert main(["pheno", "--data", str(fit_dir), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "phenotypes.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["subject_000", "subject_001"]
 
     def test_mc_command(self, synth_dir, tmp_path):
         rc = main(
@@ -172,6 +191,72 @@ class TestPipelineCommands:
         assert report["recall_percent"] == 100.0
 
 
+def _moved(seq, angles_deg=(10.0, -5.0, 20.0), shift=(7.0, -4.0, 3.0)):
+    rotation = Rotation.from_euler("xyz", angles_deg, degrees=True).as_matrix()
+    return MeshSequence(
+        [fr.transformed(rotation=rotation, translation=np.array(shift)) for fr in seq.frames]
+    )
+
+
+def _corr_values(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3, 4))
+
+
+class TestPoseConvention:
+    """encode, complete and corr see meshes in the template's pose."""
+
+    def _run_all(self, synth_dir, model_dir, data, out):
+        template = str(synth_dir / "template")
+        model = str(model_dir / "model.hssm")
+        meshes = str(data / "subject_000" / "meshes")
+        cio.save_features_csv(out / "attributes.csv", np.array([[61.0], [47.0], [55.0]]))
+        commands = [
+            ["ssm", "encode", "--meshes", meshes, "--out", str(out / "enc")],
+            ["ssm", "complete", "--meshes", meshes, "--observed", "0,2",
+             "--out", str(out / "complete")],
+            ["corr", "--data", str(data), "--attributes", str(out / "attributes.csv"),
+             "--attribute", "f0", "--out", str(out / "corr")],
+        ]
+        for argv in commands:
+            assert main(argv + ["--template", template, "--model", model]) == 0
+        return (
+            cio.load_features_csv(out / "enc" / "descriptor.csv")[1][0],
+            vectorize(cio.load_sequence(out / "complete" / "meshes")),
+            _corr_values(out / "corr" / "correlation.csv"),
+        )
+
+    def test_rigidly_moved_subject_gives_same_outputs(self, synth_dir, model_dir, tmp_path):
+        moved_data = tmp_path / "moved_data"
+        for i in range(3):
+            seq = cio.load_sequence(synth_dir / f"subject_{i:03d}" / "meshes")
+            if i == 0:
+                seq = _moved(seq)
+            cio.save_sequence(moved_data / f"subject_{i:03d}" / "meshes", seq)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        plain = self._run_all(synth_dir, model_dir, synth_dir, tmp_path / "a")
+        moved = self._run_all(synth_dir, model_dir, moved_data, tmp_path / "b")
+        assert np.abs(plain[0] - moved[0]).max() < 1e-8
+        assert np.abs(plain[1] - moved[1]).max() < 1e-8
+        assert np.allclose(plain[2], moved[2], rtol=1e-8, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        angles=st.tuples(*[st.floats(-180.0, 180.0)] * 3),
+        shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    )
+    def test_to_model_space_invariant(self, angles, shift):
+        template = toy_chamber_set()
+        rng = np.random.default_rng(3)
+        seq = toy_sequence(3, motion=lambda t: (2.0 * t, -t, 0.5 * t))
+        seq = seq.with_stacked(
+            {s: v + rng.normal(0.0, 0.3, v.shape) for s, v in seq.stacked().items()}
+        )
+        expected = vectorize(_to_model_space(seq, template))
+        got = vectorize(_to_model_space(_moved(seq, angles, shift), template))
+        assert np.abs(got - expected).max() < 1e-8
+
+
 class TestExitCodes:
     def test_unknown_flag_exit_2(self):
         proc = subprocess.run(
@@ -194,6 +279,33 @@ class TestExitCodes:
                 "ssm", "encode", "--template", str(tmp_path / "t"),
                 "--model", str(tmp_path / "m.hssm"),
                 "--meshes", str(tmp_path / "t"), "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+
+    def test_corr_attribute_rows_must_match_subjects(
+        self, synth_dir, model_dir, tmp_path, capsys
+    ):
+        attributes = tmp_path / "attributes.csv"
+        cio.save_features_csv(attributes, np.arange(4.0)[:, None])  # 3 subjects
+        rc = main(
+            [
+                "corr", "--data", str(synth_dir), "--model", str(model_dir / "model.hssm"),
+                "--template", str(synth_dir / "template"), "--attributes", str(attributes),
+                "--attribute", "f0", "--out", str(tmp_path / "corr"),
+            ]
+        )
+        assert rc == 2
+        assert str(attributes) in capsys.readouterr().err
+        assert not (tmp_path / "corr" / "correlation.csv").exists()
+
+    def test_complete_frame_count_mismatch_exit_2(self, synth_dir, model_dir, tmp_path):
+        rc = main(
+            [
+                "ssm", "complete", "--template", str(synth_dir / "template"),
+                "--model", str(model_dir / "model.hssm"),
+                "--meshes", str(synth_dir / "template"),  # 1 frame; the model has 3
+                "--observed", "2", "--out", str(tmp_path),
             ]
         )
         assert rc == 2

@@ -3,7 +3,7 @@ import pytest
 
 from cardioshape import io as cio
 from cardioshape import synth
-from cardioshape.mesh import Topology, vectorize
+from cardioshape.mesh import vectorize
 from cardioshape.objectives import TargetClouds
 from cardioshape.ffd import ControlGrid
 from cardioshape.ssm import ShapeModel, ipca_partial_fit
@@ -120,7 +120,8 @@ class TestModelFile:
         model = ShapeModel(n_components=3, topology=topology)
         ipca_partial_fit(model, vectors)
         cio.save_model(tmp_path / "m.hssm", model, topology)
-        back = cio.load_model(tmp_path / "m.hssm", topology)
+        back = cio.load_model(tmp_path / "m.hssm", population.sequences[0].frames[0])
+        assert back.topology.digest() == topology.digest()
         assert np.array_equal(back.mean, model.mean)
         assert np.array_equal(back.components, model.components)
         assert np.array_equal(back.explained_variance, model.explained_variance)
@@ -139,13 +140,14 @@ class TestModelFile:
         with pytest.raises(cio.ValidationError, match="magic"):
             cio.load_model(tmp_path / "bad.hssm")
 
-    def test_digest_mismatch_rejected(self, population, tmp_path):
+    def test_digest_mismatch_rejected(self, population, small_template, tmp_path):
         vectors = np.stack([vectorize(s) for s in population.sequences])
         topology = population.sequences[0].topology()
         model = ShapeModel(n_components=2, topology=topology)
         ipca_partial_fit(model, vectors)
         cio.save_model(tmp_path / "m.hssm", model, topology)
-        other = Topology(topology.counts, topology.faces, topology.n_frames + 1)
+        other, _ = small_template  # another scale: other vertex counts
+        assert other.total_vertices != topology.total_vertices
         with pytest.raises(cio.ValidationError, match="digest"):
             cio.load_model(tmp_path / "m.hssm", other)
 

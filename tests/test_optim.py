@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cardioshape.optim import Adam, adam_step
+from cardioshape.optim import Adam
 
 
 def test_zero_gradient_leaves_params():
@@ -45,10 +45,3 @@ def test_invalid_hyperparameters():
         Adam(beta1=1.0)
     with pytest.raises(ValueError):
         Adam(epsilon=0.0)
-
-
-def test_adam_step_functional():
-    state = Adam(lr=0.1)
-    out = adam_step(state, np.array([1.0]), np.array([1.0]))
-    assert out.shape == (1,)
-    assert state.t == 1

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from cardioshape import synth
-from cardioshape.mesh import STRUCTURES, devectorize, vectorize
+from cardioshape.mesh import STRUCTURES, MeshSequence, devectorize, vectorize
 from cardioshape.ssm import (
     ShapeModel,
     compactness,
@@ -233,9 +233,7 @@ class TestCompleteSequence:
     def test_all_observed_matches_projection(self, trained_population):
         pop, vectors, model = trained_population
         observed = np.ones(model.topology.n_frames, dtype=bool)
-        completed = complete_sequence(
-            model, pop.sequences[50], observed, lr=0.1, iters=3000
-        )
+        completed = complete_sequence(model, pop.sequences[50], observed)
         projected = decode(model, encode(model, vectors[50]))
         assert np.abs(vectorize(completed) - projected).max() < 1e-6
 
@@ -259,13 +257,43 @@ class TestCompleteSequence:
         n_frames = model.topology.n_frames
         observed = np.ones(n_frames, dtype=bool)
         idx = 55
-        completed = complete_sequence(
-            model, pop.sequences[idx], observed, iters=1000
-        )
+        completed = complete_sequence(model, pop.sequences[idx], observed)
         diff = (vectorize(completed) - vectors[idx]).reshape(-1, 3)
         err = np.sqrt((diff**2).sum(axis=1).mean())
         bound = generalization_error(model, vectors[idx : idx + 1], model.n_active)[0]
         assert err <= bound * 1.01 + 1e-6
+
+    def test_matches_whitened_lstsq_reference(self, trained_population):
+        pop, vectors, model = trained_population
+        n_frames = model.topology.n_frames
+        per_frame = vectors.shape[1] // n_frames
+        scale = np.sqrt(np.maximum(model.explained_variance, 0.0))
+        for idx, frames in ((50, [0]), (51, [1, 4]), (52, range(n_frames))):
+            observed = np.zeros(n_frames, dtype=bool)
+            observed[list(frames)] = True
+            rows = np.concatenate(
+                [np.arange(t * per_frame, (t + 1) * per_frame) for t in frames]
+            )
+            a = model.components[:, rows].T * scale
+            z = np.linalg.lstsq(a, vectors[idx, rows] - model.mean[rows], rcond=None)[0]
+            reference = model.mean + model.components.T @ (scale * z)
+            completed = complete_sequence(model, pop.sequences[idx], observed)
+            assert np.abs(vectorize(completed) - reference).max() < 1e-10
+
+    def test_unobserved_frames_not_read(self, trained_population):
+        pop, _, model = trained_population
+        observed = np.zeros(model.topology.n_frames, dtype=bool)
+        observed[[0, 3]] = True
+        placeholder = pop.sequences[50].with_stacked(
+            {s: np.zeros_like(v) for s, v in pop.sequences[50].stacked().items()}
+        )
+        frames = [
+            pop.sequences[50][t] if observed[t] else placeholder[t]
+            for t in range(model.topology.n_frames)
+        ]
+        a = complete_sequence(model, pop.sequences[50], observed)
+        b = complete_sequence(model, MeshSequence(frames), observed)
+        assert np.array_equal(vectorize(a), vectorize(b))
 
     def test_no_observed_frames_rejected(self, trained_population):
         pop, _, model = trained_population
