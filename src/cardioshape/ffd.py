@@ -6,9 +6,15 @@ basis.  Multi-scale deformation composes lattices sequentially (the coarse
 result is re-evaluated inside the finer lattice), and analytic gradients are
 provided both with respect to the control displacements and, for chained
 lattices, with respect to the input points.
+
+All of it goes through one sparse operator of basis weights, :func:`weights`:
+a warp is ``p + W @ D``, the displacement gradient ``W.T @ U``.  Lattices
+sharing a geometry and input points share ``W``, with displacements stacked
+as columns of ``D``.
 """
 
 import numpy as np
+from scipy import sparse
 
 
 class ControlGrid:
@@ -130,15 +136,20 @@ def _cells_and_locals(grid, points):
     return cell, local, clamped
 
 
-def _weight_tensors(grid, points, deriv_axis=None):
-    """Per-point index arrays and per-axis weight arrays for the 4x4x4 stencil.
+def weights(grid, points, deriv_axis=None):
+    """B-spline weight operator of a lattice at fixed points, (n, G) CSR.
 
-    With ``deriv_axis`` set, that axis uses the basis derivative scaled by
-    1/spacing, producing weights of the displacement-field spatial Jacobian;
-    the derivative is zero where the boundary clamp is active.
+    Row ``p`` holds the 64 tensor-product basis weights of point ``p``'s
+    4x4x4 support, in the columns of the flattened control grid (C order,
+    ``G = Gx * Gy * Gz``), so the lattice displacement at every point is
+    ``W @ grid.displacements.reshape(G, 3)`` and the displacement gradient of
+    a loss is ``W.T @ upstream``.  With ``deriv_axis`` set, that axis uses the
+    basis derivative scaled by 1/spacing, giving column ``deriv_axis`` of the
+    displacement field's spatial Jacobian; the derivative is zero where the
+    boundary clamp is active.  Indices are int32.
     """
     cell, local, clamped = _cells_and_locals(grid, points)
-    idx = [cell[:, ax, None] - 1 + np.arange(4) for ax in range(3)]
+    n = len(cell)
     w = []
     for ax in range(3):
         if ax == deriv_axis:
@@ -147,7 +158,16 @@ def _weight_tensors(grid, points, deriv_axis=None):
             w.append(dw)
         else:
             w.append(_basis(local[:, ax]))
-    return idx, w
+    data = w[0][:, :, None, None] * w[1][:, None, :, None] * w[2][:, None, None, :]
+    # Support indices per axis; a, b, c ascending gives sorted row indices.
+    gx, gy, gz = grid.dims
+    idx = [(cell[:, ax, None] - 1 + np.arange(4)).astype(np.int32) for ax in range(3)]
+    cols = (idx[0][:, :, None] * gy + idx[1][:, None, :])[:, :, :, None] * gz
+    cols = cols + idx[2][:, None, None, :]
+    indptr = np.arange(0, 64 * n + 1, 64)
+    return sparse.csr_matrix(
+        (data.reshape(-1), cols.reshape(-1), indptr), shape=(n, gx * gy * gz)
+    )
 
 
 def warp_points(grid, points):
@@ -162,26 +182,15 @@ def warp_points(grid, points):
         raise ValueError("points must have shape (n, 3)")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    idx, w = _weight_tensors(grid, pts)
-    out = pts.copy()
-    d = grid.displacements
-    for a in range(4):
-        for b in range(4):
-            wab = w[0][:, a] * w[1][:, b]
-            ia = idx[0][:, a]
-            ib = idx[1][:, b]
-            for c in range(4):
-                wk = (wab * w[2][:, c])[:, None]
-                out += wk * d[ia, ib, idx[2][:, c]]
-    return out
+    return pts + weights(grid, pts) @ grid.displacements.reshape(-1, 3)
 
 
 def warp_gradient(grid, points, upstream):
     """Accumulate dLoss/d(displacements) from per-point upstream gradients.
 
     ``upstream`` holds dLoss/dp' per point; the result has the same shape as
-    ``grid.displacements``.  Linear in ``upstream``; accumulation order is a
-    fixed sequential reduction, so results are deterministic.
+    ``grid.displacements``.  It is ``W.T @ upstream`` for the weight operator
+    ``W`` of :func:`weights`: linear in ``upstream`` and deterministic.
     """
     pts = np.asarray(points, dtype=np.float64)
     up = np.asarray(upstream, dtype=np.float64)
@@ -189,18 +198,7 @@ def warp_gradient(grid, points, upstream):
         raise ValueError(
             f"upstream shape {up.shape} does not match points shape {pts.shape}"
         )
-    idx, w = _weight_tensors(grid, pts)
-    grad = np.zeros_like(grid.displacements)
-    gx, gy, gz = grid.dims
-    flat = grad.reshape(-1, 3)
-    for a in range(4):
-        for b in range(4):
-            wab = w[0][:, a] * w[1][:, b]
-            lin_ab = (idx[0][:, a] * gy + idx[1][:, b]) * gz
-            for c in range(4):
-                wk = (wab * w[2][:, c])[:, None]
-                np.add.at(flat, lin_ab + idx[2][:, c], wk * up)
-    return grad
+    return (weights(grid, pts).T @ up).reshape(grid.displacements.shape)
 
 
 def warp_jacobian(grid, points):
@@ -210,19 +208,22 @@ def warp_jacobian(grid, points):
     needed to chain gradients through composed lattices.
     """
     pts = np.asarray(points, dtype=np.float64)
-    jac = np.zeros((len(pts), 3, 3))
-    d = grid.displacements
+    d = grid.displacements.reshape(-1, 3)
+    return np.stack([weights(grid, pts, deriv_axis=ax) @ d for ax in range(3)], axis=2)
+
+
+def pull_back(grid, points, upstream):
+    """``(I + J)^T upstream`` for ``p' = p + D(p)``: dLoss/dp from dLoss/dp'.
+
+    Builds one derivative operator at a time, so the three never coexist.
+    """
+    d = grid.displacements.reshape(-1, 3)
+    up = np.asarray(upstream, dtype=np.float64)
+    out = up.copy()
     for ax in range(3):
-        idx, w = _weight_tensors(grid, pts, deriv_axis=ax)
-        for a in range(4):
-            for b in range(4):
-                wab = w[0][:, a] * w[1][:, b]
-                ia = idx[0][:, a]
-                ib = idx[1][:, b]
-                for c in range(4):
-                    wk = (wab * w[2][:, c])[:, None]
-                    jac[:, :, ax] += wk * d[ia, ib, idx[2][:, c]]
-    return jac
+        jac_col = weights(grid, points, deriv_axis=ax) @ d
+        out[:, ax] += np.einsum("nm,nm->n", jac_col, up)
+    return out
 
 
 def compose_warp(grids, points):
@@ -263,9 +264,6 @@ def compose_warp_gradient(grids, points, upstream):
     g_out = np.asarray(upstream, dtype=np.float64)
     grid_grads = [None] * len(grids)
     for k in range(len(grids) - 1, -1, -1):
-        x_in = inputs[k]
-        grid_grads[k] = warp_gradient(grids[k], x_in, g_out)
-        jac = warp_jacobian(grids[k], x_in)
-        # p_out = x_in + D(x_in): pull back through (I + J)^T.
-        g_out = g_out + np.einsum("nmk,nm->nk", jac, g_out)
+        grid_grads[k] = warp_gradient(grids[k], inputs[k], g_out)
+        g_out = pull_back(grids[k], inputs[k], g_out)
     return grid_grads, g_out

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ffd import ControlGrid, compose_warp, compose_warp_gradient, warp_gradient, warp_points
+from .ffd import ControlGrid, pull_back, weights
 from .mesh import STRUCTURES, ChamberSet, MeshSequence, graph_laplacian, mean_curvature
 from .objectives import LossWeights, TargetClouds, total_loss
 from .optim import Adam
@@ -57,22 +57,17 @@ def _fit_box(template, targets):
     return lo - margin, hi + margin
 
 
-def _split_pooled(template, pooled):
-    coords = {}
-    k = 0
-    for s in STRUCTURES:
-        n = template[s].n_vertices
-        coords[s] = pooled[k : k + n]
-        k += n
-    return coords
-
-
-def _pool_grads(template, grads, t):
-    return np.concatenate([grads[s][t] for s in STRUCTURES])
+def _pool_grads(grads):
+    """Per-structure (T, n_s, 3) vertex gradients pooled as (|V|, T, 3)."""
+    return np.concatenate([grads[s].transpose(1, 0, 2) for s in STRUCTURES])
 
 
 def fit_sequence(template, targets, cfg=None, template_curvatures=None):
     """Fit the template to per-frame target clouds.
+
+    Lattices are applied through their weight operators (:func:`ffd.weights`):
+    the coarse one is built once, the mid one once per stage-1 iteration, and
+    one serves every fine lattice, so all frames warp in one product.
 
     Parameters
     ----------
@@ -106,12 +101,19 @@ def fit_sequence(template, targets, cfg=None, template_curvatures=None):
     frame1 = TargetClouds([targets.frames[0]])
     params = np.zeros(coarse.displacements.size + mid.displacements.size)
     split = coarse.displacements.size
+    w_coarse = weights(coarse, p0)
+
+    def set_global(param_vec):
+        coarse.displacements = param_vec[:split].reshape(coarse.displacements.shape)
+        mid.displacements = param_vec[split:].reshape(mid.displacements.shape)
+        x1 = p0 + w_coarse @ param_vec[:split].reshape(-1, 3)
+        w_mid = weights(mid, x1)
+        return x1, w_mid, x1 + w_mid @ param_vec[split:].reshape(-1, 3)
+
     adam = Adam(lr=cfg.lr)
     best = (np.inf, params.copy())
     for it in range(cfg.iterations):
-        coarse.displacements = params[:split].reshape(coarse.displacements.shape)
-        mid.displacements = params[split:].reshape(mid.displacements.shape)
-        warped = compose_warp([coarse, mid], p0)
+        x1, w_mid, warped = set_global(params)
         seq1 = MeshSequence([template.with_all_vertices(warped)])
         value, grads, _ = total_loss(
             seq1, frame1, cfg.weights, template_curvatures, laplacians
@@ -121,36 +123,35 @@ def fit_sequence(template, targets, cfg=None, template_curvatures=None):
         trace.append(("global", it, value))
         if value < best[0]:
             best = (value, params.copy())
-        grid_grads, _ = compose_warp_gradient(
-            [coarse, mid], p0, _pool_grads(template, grads, 0)
-        )
-        grad_vec = np.concatenate([g.ravel() for g in grid_grads])
+        up = _pool_grads(grads)[:, 0]
+        del grads, seq1
+        grad_mid = w_mid.T @ up
+        del w_mid
+        grad_coarse = w_coarse.T @ pull_back(mid, x1, up)
+        grad_vec = np.concatenate([grad_coarse.ravel(), grad_mid.ravel()])
         adam.lr = cfg.lr_at(it)
         params = adam.step(params, grad_vec)
-    params = best[1]
-    coarse.displacements = params[:split].reshape(coarse.displacements.shape)
-    mid.displacements = params[split:].reshape(mid.displacements.shape)
-    initial = compose_warp([coarse, mid], p0)
+    initial = set_global(best[1])[2]
+    del w_coarse, frame1
 
     # Stage 2: per-frame fine grids, jointly under the full objective.
+    # params[g, t, :] is frame t's displacement of control point g, so the
+    # (G, 3T) view of params warps every frame in one product.
     n_frames = targets.n_frames
     fine_shape = tuple(cfg.dims_fine) + (3,)
-    fine_size = int(np.prod(fine_shape))
     fines = [ControlGrid.for_box(lo, hi, cfg.dims_fine) for _ in range(n_frames)]
-    params = np.zeros(n_frames * fine_size)
+    w_fine = weights(fines[0], initial)
+    n_ctrl = w_fine.shape[1]
+    params = np.zeros(n_ctrl * n_frames * 3)
     adam = Adam(lr=cfg.lr)
     best = (np.inf, params.copy())
 
     def build_sequence(param_vec):
-        frames = []
-        for t in range(n_frames):
-            fines[t].displacements = param_vec[
-                t * fine_size : (t + 1) * fine_size
-            ].reshape(fine_shape)
-            frames.append(
-                template.with_all_vertices(warp_points(fines[t], initial))
-            )
-        return MeshSequence(frames)
+        moved = w_fine @ param_vec.reshape(n_ctrl, 3 * n_frames)
+        moved = moved.reshape(-1, n_frames, 3)
+        return MeshSequence(
+            [template.with_all_vertices(initial + moved[:, t]) for t in range(n_frames)]
+        )
 
     for it in range(cfg.iterations):
         seq = build_sequence(params)
@@ -162,12 +163,14 @@ def fit_sequence(template, targets, cfg=None, template_curvatures=None):
         trace.append(("frames", it, value))
         if value < best[0]:
             best = (value, params.copy())
-        grad_vec = np.empty_like(params)
-        for t in range(n_frames):
-            g = warp_gradient(fines[t], initial, _pool_grads(template, grads, t))
-            grad_vec[t * fine_size : (t + 1) * fine_size] = g.ravel()
+        grad_vec = (w_fine.T @ _pool_grads(grads).reshape(-1, 3 * n_frames)).ravel()
+        del grads, seq
         adam.lr = cfg.lr_at(it)
         params = adam.step(params, grad_vec)
+        del grad_vec
+    per_frame = best[1].reshape(n_ctrl, n_frames, 3)
+    for t in range(n_frames):
+        fines[t].displacements = per_frame[:, t].reshape(fine_shape).copy()
     seq = build_sequence(best[1])
     grids = {"coarse": coarse, "mid": mid, "fine": fines}
     return seq, grids, trace

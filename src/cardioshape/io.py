@@ -99,10 +99,6 @@ def load_sequence(directory):
     return MeshSequence(frames)
 
 
-def save_chamber_set(directory, chambers):
-    save_sequence(directory, MeshSequence([chambers]))
-
-
 def load_chamber_set(directory):
     return load_sequence(directory).frames[0]
 
@@ -529,8 +525,3 @@ def load_groups_csv(path):
 def save_displacements_json(path, displacements):
     obj = {pid: [float(d[0]), float(d[1])] for pid, d in displacements.items()}
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def topology_from_sequence_dir(directory):
-    seq = load_sequence(directory)
-    return seq.topology()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh import STRUCTURES, edges_from_faces, face_cross_products, graph_laplacian
+from .mesh import STRUCTURES, face_cross_products, graph_laplacian
 
 
 @dataclass
@@ -74,8 +74,17 @@ class TargetClouds:
         )
 
 
-def _zero_grads(stacked):
-    return {s: np.zeros_like(v) for s, v in stacked.items()}
+def _zero_grads(seq):
+    """Zero vertex gradients, ``{structure: (T, n_c, 3)}``.
+
+    The loss terms read coordinates frame by frame (or one structure at a
+    time) instead of through ``seq.stacked()``, so no term holds a second
+    copy of the whole sequence next to its gradients.
+    """
+    return {
+        s: np.zeros((seq.n_frames,) + seq.frames[0][s].vertices.shape)
+        for s in STRUCTURES
+    }
 
 
 def _safe_unit(diff, dist):
@@ -86,6 +95,13 @@ def _safe_unit(diff, dist):
     return out
 
 
+def _scatter_rows(index, rows, n):
+    """(n, 3) sums of ``rows`` grouped by vertex ``index`` (one bincount per axis)."""
+    return np.stack(
+        [np.bincount(index, weights=rows[:, k], minlength=n) for k in range(3)], axis=1
+    )
+
+
 def recon_loss(seq, targets):
     """Symmetric mean nearest-neighbour distance between meshes and targets.
 
@@ -93,7 +109,6 @@ def recon_loss(seq, targets):
     count, summed over structures, and the frame sum is divided by the frame
     count.  The vertex gradient collects unit vectors from both directions.
     """
-    stacked = seq.stacked()
     wanted = [s for s in STRUCTURES if s in targets.structures()]
     if set(targets.structures()) - set(STRUCTURES):
         raise ValueError("targets contain unknown structures")
@@ -102,11 +117,11 @@ def recon_loss(seq, targets):
             f"targets have {targets.n_frames} frames, sequence has {seq.n_frames}"
         )
     T = seq.n_frames
-    grads = _zero_grads(stacked)
+    grads = _zero_grads(seq)
     total = 0.0
     for t in range(T):
         for s in wanted:
-            verts = stacked[s][t]
+            verts = seq.frames[t][s].vertices
             pts = targets.points(t, s)
             tree_p = targets.tree(t, s)
             d_vp, idx_vp = tree_p.query(verts)
@@ -116,29 +131,22 @@ def recon_loss(seq, targets):
             g = grads[s][t]
             g += _safe_unit(verts - pts[idx_vp], d_vp) / (len(verts) * T)
             back = _safe_unit(verts[idx_pv] - pts, d_pv) / (len(pts) * T)
-            np.add.at(g, idx_pv, back)
+            g += _scatter_rows(idx_pv, back, len(verts))
     return total / T, grads
-
-
-def _edge_std(lengths):
-    """Population standard deviation of edge lengths (divisor = edge count)."""
-    lengths = np.asarray(lengths, dtype=np.float64)
-    return float(np.sqrt(np.mean((lengths - lengths.mean()) ** 2)))
 
 
 def edge_loss(seq):
     """Standard deviation of edge length, averaged over frames, summed over
     structures."""
-    stacked = seq.stacked()
     T = seq.n_frames
-    grads = _zero_grads(stacked)
-    edges = {s: edges_from_faces(seq.frames[0][s].faces) for s in STRUCTURES}
+    grads = _zero_grads(seq)
     total = 0.0
     for s in STRUCTURES:
-        e = edges[s]
+        e = seq.frames[0][s].edges()
         vi, vj = e[:, 0], e[:, 1]
+        ends = np.concatenate([vi, vj])
         for t in range(T):
-            verts = stacked[s][t]
+            verts = seq.frames[t][s].vertices
             diff = verts[vi] - verts[vj]
             lengths = np.linalg.norm(diff, axis=1)
             mean = lengths.mean()
@@ -147,10 +155,10 @@ def edge_loss(seq):
             if std > 0:
                 # d std/d e_k = (e_k - mean)/(|E| std); mean term cancels.
                 coef = (lengths - mean) / (len(lengths) * std * T)
-                unit = _safe_unit(diff, lengths)
-                g = grads[s][t]
-                np.add.at(g, vi, coef[:, None] * unit)
-                np.add.at(g, vj, -coef[:, None] * unit)
+                pull = coef[:, None] * _safe_unit(diff, lengths)
+                grads[s][t] += _scatter_rows(
+                    ends, np.concatenate([pull, -pull]), len(verts)
+                )
     return total / T, grads
 
 
@@ -190,9 +198,8 @@ def curvature_loss(seq, template_curvatures, laplacians=None):
     The gradient is exact: it differentiates both the Laplacian coordinate
     term and the vertex normals.
     """
-    stacked = seq.stacked()
     T = seq.n_frames
-    grads = _zero_grads(stacked)
+    grads = _zero_grads(seq)
     if laplacians is None:
         laplacians = {s: graph_laplacian(seq.frames[0][s]) for s in STRUCTURES}
     total = 0.0
@@ -200,9 +207,10 @@ def curvature_loss(seq, template_curvatures, laplacians=None):
         lap = laplacians[s]
         lap_t = lap.T.tocsr()
         faces = seq.frames[0][s].faces
+        corners = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
         h0 = np.asarray(template_curvatures[s], dtype=np.float64)
         for t in range(T):
-            verts = stacked[s][t]
+            verts = seq.frames[t][s].vertices
             m, mnorm = _raw_normals(verts, faces)
             n = m / mnorm[:, None]
             lv = lap @ verts
@@ -221,9 +229,9 @@ def curvature_loss(seq, template_curvatures, laplacians=None):
             w = verts[faces[:, 2]] - v0
             g_u = np.cross(w, r_f)
             g_w = np.cross(r_f, u)
-            np.add.at(g_v, faces[:, 1], g_u)
-            np.add.at(g_v, faces[:, 2], g_w)
-            np.add.at(g_v, faces[:, 0], -(g_u + g_w))
+            g_v += _scatter_rows(
+                corners, np.concatenate([g_u, g_w, -(g_u + g_w)]), len(verts)
+            )
             grads[s][t] += g_v
     return total / T, grads
 
@@ -232,12 +240,11 @@ def temporal_loss(seq):
     """Mean vertex displacement between consecutive frames."""
     if seq.n_frames < 2:
         raise ValueError("temporal_loss needs at least two frames")
-    stacked = seq.stacked()
     T = seq.n_frames
-    grads = _zero_grads(stacked)
+    grads = _zero_grads(seq)
     total = 0.0
     for s in STRUCTURES:
-        v = stacked[s]
+        v = np.stack([fr[s].vertices for fr in seq.frames])
         n_c = v.shape[1]
         diff = v[1:] - v[:-1]
         dist = np.linalg.norm(diff, axis=2)
@@ -253,17 +260,15 @@ def temporal_loss(seq):
 def cycle_loss(seq):
     """Mean per-vertex distance between the last and first frames, summed over
     structures.  Zero (with zero gradient) for single-frame sequences."""
-    stacked = seq.stacked()
-    grads = _zero_grads(stacked)
+    grads = _zero_grads(seq)
     if seq.n_frames < 2:
         return 0.0, grads
     total = 0.0
     for s in STRUCTURES:
-        v = stacked[s]
-        diff = v[-1] - v[0]
+        diff = seq.frames[-1][s].vertices - seq.frames[0][s].vertices
         dist = np.linalg.norm(diff, axis=1)
         total += dist.mean()
-        unit = _safe_unit(diff, dist) / v.shape[1]
+        unit = _safe_unit(diff, dist) / len(diff)
         grads[s][-1] += unit
         grads[s][0] -= unit
     return total, grads

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardioshape.ffd import (
     ControlGrid,
+    _basis,
+    _basis_deriv,
+    _cells_and_locals,
     bspline_basis,
     compose_warp,
     compose_warp_gradient,
+    pull_back,
     warp_gradient,
+    warp_jacobian,
     warp_points,
+    weights,
 )
 
 
@@ -15,6 +23,51 @@ def random_grid(rng, dims=(5, 5, 5), scale=0.05):
     g = ControlGrid(dims, origin=(-1, -1, -1), spacing=(0.5, 0.5, 0.5))
     g.displacements = rng.normal(0, scale, g.displacements.shape)
     return g
+
+
+def _stencil(grid, points, deriv_axis=None):
+    """Direct 4x4x4 stencil: per-axis support indices and weights."""
+    cell, local, clamped = _cells_and_locals(grid, points)
+    idx = [cell[:, ax, None] - 1 + np.arange(4) for ax in range(3)]
+    w = []
+    for ax in range(3):
+        if ax == deriv_axis:
+            dw = _basis_deriv(local[:, ax]) / grid.spacing[ax]
+            dw[clamped[:, ax]] = 0.0
+            w.append(dw)
+        else:
+            w.append(_basis(local[:, ax]))
+    return idx, w
+
+
+def stencil_field(grid, points, deriv_axis=None):
+    """Reference: the displacement field (or one Jacobian column) summed
+    over the 64 support terms of every point."""
+    idx, w = _stencil(grid, points, deriv_axis)
+    out = np.zeros((len(points), 3))
+    d = grid.displacements
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                wk = w[0][:, a] * w[1][:, b] * w[2][:, c]
+                out += wk[:, None] * d[idx[0][:, a], idx[1][:, b], idx[2][:, c]]
+    return out
+
+
+def stencil_gradient(grid, points, upstream):
+    """Reference: the 64 support terms scattered into the control grid."""
+    idx, w = _stencil(grid, points)
+    grad = np.zeros_like(grid.displacements)
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                wk = w[0][:, a] * w[1][:, b] * w[2][:, c]
+                np.add.at(
+                    grad,
+                    (idx[0][:, a], idx[1][:, b], idx[2][:, c]),
+                    wk[:, None] * upstream,
+                )
+    return grad
 
 
 class TestBasis:
@@ -57,8 +110,6 @@ class TestWarp:
         g = ControlGrid((6, 6, 6), origin=(0, 0, 0), spacing=(1, 1, 1))
         g.displacements[2, 3, 1] = rng.normal(0, 1, 3)
         pts = rng.uniform(0.5, 4.5, (100, 3))
-        from cardioshape.ffd import _basis, _cells_and_locals
-
         cell, local, _ = _cells_and_locals(g, pts)
         out_bf = pts.copy()
         # brute force over every control point
@@ -90,8 +141,6 @@ class TestWarp:
         moved = warp_points(g, pts)
         changed = np.abs(moved - base).max(axis=1) > 0
         # support of control point (4,4,4): cells with index in [2, 5]
-        from cardioshape.ffd import _cells_and_locals
-
         cell, _, _ = _cells_and_locals(g, pts)
         inside = np.all((cell >= 2) & (cell <= 5), axis=1)
         assert not np.any(changed & ~inside)
@@ -239,3 +288,96 @@ class TestControlGridValidation:
         assert (96 // 16, 96 // 16, 128 // 16) == (6, 6, 8)
         assert (96 // 8, 96 // 8, 128 // 8) == (12, 12, 16)
         assert (96 // 4, 96 // 4, 128 // 4) == (24, 24, 32)
+
+
+class TestWeightOperator:
+    """The sparse operator against the direct stencil, inside the lattice and
+    far outside it (the clamp path)."""
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(11)
+        g = random_grid(rng, dims=(6, 7, 8), scale=0.3)
+        inside = rng.uniform(-0.4, 1.4, (300, 3))
+        outside = rng.uniform(-6.0, 6.0, (300, 3))
+        return g, np.concatenate([inside, outside]), rng
+
+    def test_warp_matches_stencil(self, case):
+        g, pts, _ = case
+        ref = pts + stencil_field(g, pts)
+        assert np.abs(warp_points(g, pts) - ref).max() < 1e-12
+
+    def test_gradient_matches_stencil(self, case):
+        g, pts, rng = case
+        up = rng.normal(0, 1, pts.shape)
+        ref = stencil_gradient(g, pts, up)
+        assert np.abs(warp_gradient(g, pts, up) - ref).max() < 1e-12
+
+    def test_jacobian_matches_stencil(self, case):
+        g, pts, _ = case
+        jac = warp_jacobian(g, pts)
+        for ax in range(3):
+            ref = stencil_field(g, pts, deriv_axis=ax)
+            assert np.abs(jac[:, :, ax] - ref).max() < 1e-12
+
+    def test_pull_back_matches_jacobian(self, case):
+        g, pts, rng = case
+        up = rng.normal(0, 1, pts.shape)
+        ref = up + np.einsum("nmk,nm->nk", warp_jacobian(g, pts), up)
+        assert np.abs(pull_back(g, pts, up) - ref).max() < 1e-12
+
+    def test_layout(self, case):
+        g, pts, _ = case
+        w = weights(g, pts)
+        assert w.shape == (len(pts), int(np.prod(g.dims)))
+        assert w.indices.dtype == np.int32 and w.indptr.dtype == np.int32
+        assert np.all(np.diff(w.indptr) == 64)
+        assert w.has_canonical_format
+        assert np.abs(np.asarray(w.sum(axis=1)).ravel() - 1.0).max() < 1e-12
+
+    def test_frames_batched_in_one_product(self, case):
+        # lattices sharing a geometry and input points share one operator;
+        # stacking their displacements as columns warps and back-propagates
+        # every frame at once
+        g, pts, rng = case
+        n_frames = 4
+        frames = [random_grid(rng, dims=g.dims, scale=0.3) for _ in range(n_frames)]
+        w = weights(g, pts)
+        stacked = np.stack([f.displacements.reshape(-1, 3) for f in frames], axis=1)
+        moved = (w @ stacked.reshape(-1, 3 * n_frames)).reshape(-1, n_frames, 3)
+        up = rng.normal(0, 1, (len(pts), n_frames, 3))
+        grads = (w.T @ up.reshape(len(pts), -1)).reshape(-1, n_frames, 3)
+        for t, f in enumerate(frames):
+            assert np.abs(pts + moved[:, t] - warp_points(f, pts)).max() < 1e-12
+            ref = warp_gradient(f, pts, up[:, t]).reshape(-1, 3)
+            assert np.abs(grads[:, t] - ref).max() < 1e-12
+
+
+class TestWarpProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(*[st.integers(4, 7)] * 3),
+        reach=st.floats(0.5, 4.0),
+    )
+    def test_adjointness(self, seed, dims, reach):
+        # <warp(D) - p, U> = <D, warp_gradient(U)>
+        rng = np.random.default_rng(seed)
+        g = random_grid(rng, dims=dims, scale=1.0)
+        pts = rng.uniform(-reach, reach, (40, 3))
+        up = rng.normal(0, 1, pts.shape)
+        lhs = np.sum((warp_points(g, pts) - pts) * up)
+        rhs = np.sum(g.displacements * warp_gradient(g, pts, up))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_constant_field_translates(self, shift, seed):
+        g = ControlGrid((5, 6, 7), origin=(-3, -2, -1), spacing=(1.5, 1.0, 0.75))
+        g.displacements[:] = shift
+        pts = np.random.default_rng(seed).uniform(-20, 20, (50, 3))
+        out = warp_points(g, pts)
+        assert np.abs(out - pts - np.array(shift)).max() < 1e-12 * (1 + np.abs(shift).max())

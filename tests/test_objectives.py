@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import distance_matrix
+from scipy.spatial.transform import Rotation
 
 from cardioshape import synth
 from cardioshape.mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh
 from cardioshape.objectives import (
     LossWeights,
     TargetClouds,
-    _edge_std,
     curvature_loss,
     cycle_loss,
     dice,
@@ -118,10 +120,6 @@ class TestEdgeLoss:
         seq = toy_sequence(n_frames=2, base=tri)
         value, grads = edge_loss(seq)
         assert value < 1e-12
-
-    def test_path_1133_oracle(self):
-        # population std of {1, 1, 3, 3}: mean 2, variance 1, std 1
-        assert _edge_std([1.0, 1.0, 3.0, 3.0]) == 1.0
 
     def test_gradient_fd(self, small_pop):
         rng = np.random.default_rng(2)
@@ -395,3 +393,50 @@ class TestPearson:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="zero-variance"):
             pearson_r(np.ones(10), np.arange(10.0))
+
+
+class TestLossInvariances:
+    """Properties that hold whatever the vertex-gradient scatter does: the
+    shape terms ignore rigid motion of the whole sequence (their gradients
+    rotate with it), and the data term ignores the order of target points."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        angles=st.tuples(*[st.floats(-180.0, 180.0)] * 3),
+        shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    )
+    def test_shape_terms_rigid_invariant(self, small_pop, angles, shift):
+        rot = Rotation.from_euler("xyz", angles, degrees=True).as_matrix()
+        seq = small_pop.sequences[0]
+        moved = MeshSequence(
+            [fr.transformed(rotation=rot, translation=np.array(shift)) for fr in seq.frames]
+        )
+        terms = [
+            edge_loss,
+            lambda q: curvature_loss(q, small_pop.curvatures),
+            temporal_loss,
+            cycle_loss,
+        ]
+        for fn in terms:
+            value, grads = fn(seq)
+            value_m, grads_m = fn(moved)
+            assert abs(value_m - value) <= 1e-9 * abs(value)
+            gmax = max(np.abs(g).max() for g in grads.values())
+            for s in STRUCTURES:
+                assert np.abs(grads_m[s] - grads[s] @ rot.T).max() <= 1e-8 * gmax
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_recon_target_permutation_invariant(self, small_pop, seed):
+        rng = np.random.default_rng(seed)
+        seq = small_pop.sequences[0]
+        frames = [
+            {s: fr[s].vertices + rng.normal(0, 1.5, fr[s].vertices.shape) for s in STRUCTURES}
+            for fr in seq.frames
+        ]
+        shuffled = [{s: rng.permutation(fr[s]) for s in STRUCTURES} for fr in frames]
+        value, grads = recon_loss(seq, TargetClouds(frames))
+        value_p, grads_p = recon_loss(seq, TargetClouds(shuffled))
+        assert abs(value_p - value) <= 1e-12 * value
+        for s in STRUCTURES:
+            assert np.abs(grads_p[s] - grads[s]).max() <= 1e-12 * np.abs(grads[s]).max()
