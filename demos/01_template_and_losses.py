@@ -7,7 +7,7 @@ Run:  python demos/01_template_and_losses.py
 import numpy as np
 
 from cardioshape import synth
-from cardioshape.mesh import STRUCTURES, mean_curvature, vertex_normals
+from cardioshape.mesh import STRUCTURES, mean_curvature, vectorize, vertex_normals
 from cardioshape.objectives import LossWeights, TargetClouds, total_loss
 
 cfg = synth.SynthConfig(scale=0.05, n_frames=8, seed=1)
@@ -38,8 +38,11 @@ print(f"endo mean-curvature range: [{h.min():.4f}, {h.max():.4f}] 1/mm")
 pop = synth.synth_population(cfg, 1)
 subject = pop.sequences[0]
 targets = TargetClouds.from_sequence(subject)
-value, grads, terms = total_loss(subject, targets, LossWeights(), pop.curvatures)
+# the losses take every frame's pooled vertices as one (T, V, 3) array plus
+# the connectivity the frames share, and return one (T, V, 3) gradient
+x = vectorize(subject).reshape(subject.n_frames, -1, 3)
+value, grad, terms = total_loss(x, subject.topology(), targets, LossWeights(), pop.curvatures)
 print("\nObjective of a subject against its own vertices (recon term is 0):")
 for name, term in terms.items():
     print(f"  {name:6s} {term:10.6f}")
-print(f"  total  {value:10.6f}")
+print(f"  total  {value:10.6f}   (gradient shape {grad.shape})")

@@ -8,7 +8,7 @@ import numpy as np
 
 from cardioshape import synth
 from cardioshape.fitting import FitConfig, fit_sequence
-from cardioshape.mesh import STRUCTURES, MeshSequence
+from cardioshape.mesh import STRUCTURES, MeshSequence, vectorize
 from cardioshape.objectives import TargetClouds, cycle_loss, recon_loss, surface_distances
 
 cfg = synth.SynthConfig(scale=0.05, n_frames=6, seed=4)
@@ -18,6 +18,12 @@ subject = pop.sequences[0]
 # pretend we only observed the subject as per-frame surface point clouds
 targets = TargetClouds.from_sequence(subject)
 
+
+def pooled(seq):
+    """(T, V, 3) coordinates and shared topology, as the losses take them."""
+    return vectorize(seq).reshape(seq.n_frames, -1, 3), seq.topology()
+
+
 fit_cfg = FitConfig(
     dims_coarse=(6, 6, 8),
     dims_mid=(8, 8, 10),
@@ -25,13 +31,12 @@ fit_cfg = FitConfig(
     iterations=120,
     lr=0.5,
 )
-initial = MeshSequence([pop.template] * cfg.n_frames)
-r0, _ = recon_loss(initial, targets)
+r0, _ = recon_loss(*pooled(MeshSequence([pop.template] * cfg.n_frames)), targets)
 print(f"recon loss before fitting: {r0:.3f} mm")
 
-seq, grids, trace = fit_sequence(pop.template, targets, fit_cfg, pop.curvatures)
-r1, _ = recon_loss(seq, targets)
-cyc, _ = cycle_loss(seq)
+seq, grids, trace = fit_sequence(pop.template, targets, fit_cfg)
+r1, _ = recon_loss(*pooled(seq), targets)
+cyc, _ = cycle_loss(*pooled(seq))
 print(f"recon loss after fitting:  {r1:.3f} mm ({100 * r1 / r0:.1f}% of initial)")
 print(f"cycle consistency of the fit: {cyc:.4f} mm")
 

@@ -125,6 +125,11 @@ def criterion_1_ffd():
     )
 
 
+def _pooled(seq):
+    """A sequence as the fit losses take it: (T, V, 3) coordinates, topology."""
+    return vectorize(seq).reshape(seq.n_frames, -1, 3), seq.topology()
+
+
 def _oracle_symmetric(a, b):
     d = distance_matrix(a, b)
     return d.min(axis=1).mean() + d.min(axis=0).mean()
@@ -149,7 +154,8 @@ def criterion_2_loss_oracles():
             for fr in seq.frames
         ]
     )
-    value, _ = recon_loss(seq, targets)
+    x, topo = _pooled(seq)
+    value, _ = recon_loss(x, topo, targets)
     oracle = (
         sum(
             _oracle_symmetric(fr[s].vertices, targets.points(t, s))
@@ -171,7 +177,7 @@ def criterion_2_loss_oracles():
         abs(sd["hd90"] - np.percentile(pooled, 90)),
     )
 
-    value_e, _ = edge_loss(seq)
+    value_e, _ = edge_loss(x, topo)
     oracle_e = 0.0
     for t, fr in enumerate(seq.frames):
         for s in STRUCTURES:
@@ -189,7 +195,7 @@ def criterion_2_loss_oracles():
             oracle_e += np.sqrt(((lengths - lengths.mean()) ** 2).mean())
     edge_err = abs(value_e - oracle_e / seq.n_frames)
 
-    value_c, _ = cycle_loss(seq)
+    value_c, _ = cycle_loss(x, topo)
     oracle_c = sum(
         np.linalg.norm(
             seq.frames[-1][s].vertices - seq.frames[0][s].vertices, axis=1
@@ -198,8 +204,7 @@ def criterion_2_loss_oracles():
     )
     cycle_err = abs(value_c - oracle_c)
 
-    self_seq = MeshSequence([pop.template, pop.template])
-    curv_self, _ = curvature_loss(self_seq, curv)
+    curv_self, _ = curvature_loss(*_pooled(MeshSequence([pop.template] * 2)), curv)
     rot = np.array(
         [
             [0.36, -0.8, 0.48],
@@ -209,7 +214,7 @@ def criterion_2_loss_oracles():
     )
     q, _ = np.linalg.qr(rot)
     moved = pop.template.transformed(rotation=q, translation=np.array([5.0, -7.0, 3.0]))
-    curv_rot, _ = curvature_loss(MeshSequence([moved]), curv)
+    curv_rot, _ = curvature_loss(*_pooled(MeshSequence([moved])), curv)
 
     passed = (
         recon_err < 1e-12
@@ -271,7 +276,7 @@ def criterion_4_fit():
     """Self-reconstruction at the default (~2,700-vertex) template, T = 10."""
     t0 = time.time()
     cfg = SynthConfig(scale=0.1, n_frames=10, seed=3)
-    template, curv = make_template(cfg)
+    template, _ = make_template(cfg)
     p0 = template.all_vertices()
     lo = p0.min(axis=0) - 10
     hi = p0.max(axis=0) + 10
@@ -303,11 +308,11 @@ def criterion_4_fit():
         iterations=150,
         lr=0.5,
     )
-    seq0 = MeshSequence([template] * n_frames)
-    recon0, _ = recon_loss(seq0, targets)
-    seq, grids, trace = fit_sequence(template, targets, fit_cfg, curv)
-    recon1, _ = recon_loss(seq, targets)
-    cyc, _ = cycle_loss(seq)
+    recon0, _ = recon_loss(*_pooled(MeshSequence([template] * n_frames)), targets)
+    seq, grids, trace = fit_sequence(template, targets, fit_cfg)
+    x, topo = _pooled(seq)
+    recon1, _ = recon_loss(x, topo, targets)
+    cyc, _ = cycle_loss(x, topo)
     connectivity_ok = all(
         np.array_equal(seq.frames[t][s].faces, template[s].faces)
         and seq.frames[t][s].n_vertices == template[s].n_vertices
@@ -418,17 +423,6 @@ def criterion_6_ssm_curves():
 _C7_STATE = {}
 
 
-def _limit_blas_threads():
-    # one BLAS thread per worker process; two threaded workers on two cores
-    # otherwise thrash each other
-    try:
-        from threadpoolctl import threadpool_limits
-
-        _C7_STATE["_thread_limit"] = threadpool_limits(limits=1)
-    except ImportError:
-        pass
-
-
 def _criterion_7_subject(args):
     """One recovery trial; module-level so worker processes can run it."""
     model, subject_idx = _C7_STATE["model"], args
@@ -492,9 +486,7 @@ def criterion_7_contours(n_subjects=30):
         os.environ.get("CARDIOSHAPE_THREADS", min(2, os.cpu_count() or 1))
     )
     if n_workers > 1:
-        with multiprocessing.get_context("fork").Pool(
-            n_workers, initializer=_limit_blas_threads
-        ) as pool:
+        with multiprocessing.get_context("fork").Pool(n_workers) as pool:
             outcomes = pool.map(_criterion_7_subject, range(n_subjects))
     else:
         outcomes = [_criterion_7_subject(i) for i in range(n_subjects)]

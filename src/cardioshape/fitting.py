@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ffd import ControlGrid, pull_back, weights
-from .mesh import STRUCTURES, ChamberSet, MeshSequence, graph_laplacian, mean_curvature
+from .mesh import STRUCTURES, MeshSequence, Topology, mean_curvature
 from .objectives import LossWeights, TargetClouds, total_loss
 from .optim import Adam
 
@@ -57,17 +57,20 @@ def _fit_box(template, targets):
     return lo - margin, hi + margin
 
 
-def _pool_grads(grads):
-    """Per-structure (T, n_s, 3) vertex gradients pooled as (|V|, T, 3)."""
-    return np.concatenate([grads[s].transpose(1, 0, 2) for s in STRUCTURES])
+def _check_finite(x, stage, it):
+    if not np.all(np.isfinite(x)):
+        raise RuntimeError(f"non-finite vertex coordinates in stage {stage}, iteration {it}")
 
 
-def fit_sequence(template, targets, cfg=None, template_curvatures=None):
+def fit_sequence(template, targets, cfg=None):
     """Fit the template to per-frame target clouds.
 
     Lattices are applied through their weight operators (:func:`ffd.weights`):
     the coarse one is built once, the mid one once per stage-1 iteration, and
-    one serves every fine lattice, so all frames warp in one product.
+    one serves every fine lattice, so all frames warp in one product.  The
+    losses see the warped vertices as one ``(T, V, 3)`` array with the
+    template's :class:`Topology`, whose edges and Laplacians are built once;
+    the returned sequence is the only mesh object the fit builds.
 
     Parameters
     ----------
@@ -75,8 +78,6 @@ def fit_sequence(template, targets, cfg=None, template_curvatures=None):
     targets : TargetClouds
         Must cover all five structures in every frame.
     cfg : FitConfig, optional
-    template_curvatures : dict, optional
-        Per-structure template curvature fields; computed here if omitted.
 
     Returns
     -------
@@ -88,14 +89,17 @@ def fit_sequence(template, targets, cfg=None, template_curvatures=None):
     cfg = cfg or FitConfig()
     if set(targets.structures()) != set(STRUCTURES):
         raise ValueError("targets must cover all five structures")
-    if template_curvatures is None:
-        template_curvatures = {s: mean_curvature(template[s]) for s in STRUCTURES}
-    laplacians = {s: graph_laplacian(template[s]) for s in STRUCTURES}
+    n_frames = targets.n_frames
+    topology = Topology.from_chamber_set(template, n_frames)
+    template_curvatures = {s: mean_curvature(template[s]) for s in STRUCTURES}
     lo, hi = _fit_box(template, targets)
     coarse = ControlGrid.for_box(lo, hi, cfg.dims_coarse)
     mid = ControlGrid.for_box(lo, hi, cfg.dims_mid)
     p0 = template.all_vertices()
     trace = []
+
+    def loss(x, clouds):
+        return total_loss(x, topology, clouds, cfg.weights, template_curvatures)
 
     # Stage 1: global grids against the first frame.
     frame1 = TargetClouds([targets.frames[0]])
@@ -103,41 +107,40 @@ def fit_sequence(template, targets, cfg=None, template_curvatures=None):
     split = coarse.displacements.size
     w_coarse = weights(coarse, p0)
 
-    def set_global(param_vec):
+    def set_global(param_vec, it):
         coarse.displacements = param_vec[:split].reshape(coarse.displacements.shape)
         mid.displacements = param_vec[split:].reshape(mid.displacements.shape)
         x1 = p0 + w_coarse @ param_vec[:split].reshape(-1, 3)
+        _check_finite(x1, 1, it)
         w_mid = weights(mid, x1)
-        return x1, w_mid, x1 + w_mid @ param_vec[split:].reshape(-1, 3)
+        warped = x1 + w_mid @ param_vec[split:].reshape(-1, 3)
+        _check_finite(warped, 1, it)
+        return x1, w_mid, warped
 
     adam = Adam(lr=cfg.lr)
-    best = (np.inf, params.copy())
+    best = (np.inf, params.copy(), 0)
     for it in range(cfg.iterations):
-        x1, w_mid, warped = set_global(params)
-        seq1 = MeshSequence([template.with_all_vertices(warped)])
-        value, grads, _ = total_loss(
-            seq1, frame1, cfg.weights, template_curvatures, laplacians
-        )
+        x1, w_mid, warped = set_global(params, it)
+        value, grad, _ = loss(warped[None], frame1)
         if not np.isfinite(value):
             raise RuntimeError(f"non-finite loss in stage 1, iteration {it}")
         trace.append(("global", it, value))
         if value < best[0]:
-            best = (value, params.copy())
-        up = _pool_grads(grads)[:, 0]
-        del grads, seq1
+            best = (value, params.copy(), it)
+        up = grad[0]
+        del grad
         grad_mid = w_mid.T @ up
         del w_mid
         grad_coarse = w_coarse.T @ pull_back(mid, x1, up)
         grad_vec = np.concatenate([grad_coarse.ravel(), grad_mid.ravel()])
         adam.lr = cfg.lr_at(it)
         params = adam.step(params, grad_vec)
-    initial = set_global(best[1])[2]
+    initial = set_global(best[1], best[2])[2]
     del w_coarse, frame1
 
     # Stage 2: per-frame fine grids, jointly under the full objective.
     # params[g, t, :] is frame t's displacement of control point g, so the
     # (G, 3T) view of params warps every frame in one product.
-    n_frames = targets.n_frames
     fine_shape = tuple(cfg.dims_fine) + (3,)
     fines = [ControlGrid.for_box(lo, hi, cfg.dims_fine) for _ in range(n_frames)]
     w_fine = weights(fines[0], initial)
@@ -146,32 +149,32 @@ def fit_sequence(template, targets, cfg=None, template_curvatures=None):
     adam = Adam(lr=cfg.lr)
     best = (np.inf, params.copy())
 
-    def build_sequence(param_vec):
+    def warp_frames(param_vec):
         moved = w_fine @ param_vec.reshape(n_ctrl, 3 * n_frames)
-        moved = moved.reshape(-1, n_frames, 3)
-        return MeshSequence(
-            [template.with_all_vertices(initial + moved[:, t]) for t in range(n_frames)]
-        )
+        x = moved.reshape(-1, n_frames, 3).transpose(1, 0, 2).copy()
+        x += initial
+        return x
 
     for it in range(cfg.iterations):
-        seq = build_sequence(params)
-        value, grads, _ = total_loss(
-            seq, targets, cfg.weights, template_curvatures, laplacians
-        )
+        x = warp_frames(params)
+        _check_finite(x, 2, it)
+        value, grad, _ = loss(x, targets)
+        del x
         if not np.isfinite(value):
             raise RuntimeError(f"non-finite loss in stage 2, iteration {it}")
         trace.append(("frames", it, value))
         if value < best[0]:
             best = (value, params.copy())
-        grad_vec = (w_fine.T @ _pool_grads(grads).reshape(-1, 3 * n_frames)).ravel()
-        del grads, seq
+        grad_vec = (w_fine.T @ grad.transpose(1, 0, 2).reshape(-1, 3 * n_frames)).ravel()
+        del grad
         adam.lr = cfg.lr_at(it)
         params = adam.step(params, grad_vec)
         del grad_vec
     per_frame = best[1].reshape(n_ctrl, n_frames, 3)
     for t in range(n_frames):
         fines[t].displacements = per_frame[:, t].reshape(fine_shape).copy()
-    seq = build_sequence(best[1])
+    x = warp_frames(best[1])
+    seq = MeshSequence([template.with_all_vertices(x[t]) for t in range(n_frames)])
     grids = {"coarse": coarse, "mid": mid, "fine": fines}
     return seq, grids, trace
 

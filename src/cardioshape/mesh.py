@@ -97,6 +97,23 @@ def face_cross_products(vertices, faces):
     return np.cross(v1 - v0, v2 - v0)
 
 
+def accumulated_normals(vertices, faces):
+    """Per-vertex sums of incident face cross products (area-weighted,
+    unnormalised vertex normals) and their norms; ValueError at a vertex with
+    a zero-area triangle fan."""
+    cr = face_cross_products(vertices, faces)
+    m = np.zeros_like(vertices)
+    for k in range(3):
+        np.add.at(m, faces[:, k], cr)
+    norm = np.linalg.norm(m, axis=1)
+    bad = norm < 1e-300
+    if bad.any():
+        raise ValueError(
+            f"zero-area vertex star at vertex {int(np.flatnonzero(bad)[0])}"
+        )
+    return m, norm
+
+
 def vertex_normals(mesh, vertices=None):
     """Outward unit vertex normals.
 
@@ -121,17 +138,8 @@ def vertex_normals(mesh, vertices=None):
         If some vertex has a zero-area triangle fan (no usable normal).
     """
     v = mesh.vertices if vertices is None else np.asarray(vertices, dtype=np.float64)
-    cr = face_cross_products(v, mesh.faces)
-    n = np.zeros_like(v)
-    for k in range(3):
-        np.add.at(n, mesh.faces[:, k], cr)
-    ln = np.linalg.norm(n, axis=1)
-    bad = ln < 1e-300
-    if bad.any():
-        raise ValueError(
-            f"zero-area vertex star at vertex {int(np.flatnonzero(bad)[0])}"
-        )
-    return n / ln[:, None]
+    m, norm = accumulated_normals(v, mesh.faces)
+    return m / norm[:, None]
 
 
 def graph_laplacian(mesh):
@@ -139,8 +147,10 @@ def graph_laplacian(mesh):
 
     ``(L v)_i = v_i - mean of the neighbours of i``; rows sum to zero.
     """
-    e = mesh.edges()
-    n = mesh.n_vertices
+    return _laplacian(mesh.edges(), mesh.n_vertices)
+
+
+def _laplacian(e, n):
     i = np.concatenate([e[:, 0], e[:, 1]])
     j = np.concatenate([e[:, 1], e[:, 0]])
     deg = np.bincount(i, minlength=n).astype(np.float64)
@@ -279,20 +289,48 @@ class MeshSequence:
 
 
 class Topology:
-    """Connectivity shared by every frame of a sequence (and a whole cohort)."""
+    """Connectivity shared by every frame of a sequence (and a whole cohort).
+
+    Pooled coordinates list the structures in canonical order: structure
+    ``s`` owns the vertex rows ``rows[s]``, and ``labels`` holds each row's
+    structure index.  Edges and Laplacians are built on first use and kept.
+    """
 
     def __init__(self, counts, faces, n_frames):
         self.counts = {s: int(counts[s]) for s in STRUCTURES}
         self.faces = {s: np.asarray(faces[s], dtype=np.int64) for s in STRUCTURES}
         self.n_frames = int(n_frames)
+        sizes = [self.counts[s] for s in STRUCTURES]
+        ends = np.cumsum(sizes)
+        self.rows = {s: slice(int(e - n), int(e)) for s, n, e in zip(STRUCTURES, sizes, ends)}
+        self.labels = np.repeat(np.arange(len(STRUCTURES)), sizes)
+        self._edges = {}
+        self._laplacians = {}
+
+    def edges(self, s):
+        """Unique undirected edges of structure ``s``, as :meth:`TriMesh.edges`."""
+        if s not in self._edges:
+            self._edges[s] = edges_from_faces(self.faces[s])
+        return self._edges[s]
+
+    def laplacian(self, s):
+        """Structure ``s``'s :func:`graph_laplacian`."""
+        if s not in self._laplacians:
+            self._laplacians[s] = _laplacian(self.edges(s), self.counts[s])
+        return self._laplacians[s]
 
     @classmethod
     def from_chamber_set(cls, chambers, n_frames):
-        return cls(
+        topology = cls(
             {s: chambers[s].n_vertices for s in STRUCTURES},
             {s: chambers[s].faces for s in STRUCTURES},
             n_frames,
         )
+        # keep edges the meshes have already worked out
+        for s in STRUCTURES:
+            if chambers[s]._edges is not None:
+                topology._edges[s] = chambers[s]._edges
+        return topology
 
     @property
     def total_vertices(self):

@@ -11,6 +11,8 @@ class Adam:
     """
 
     def __init__(self, lr=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        if not (np.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning rate lr must be finite and > 0, got {lr}")
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if epsilon <= 0:

@@ -11,10 +11,10 @@ learning rate scale-free.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import cKDTree  # noqa: F401 -- benchmarks/tracing.py counts tree builds here
 
-from .mesh import devectorize, vectorize
-from .objectives import _safe_unit
+from .mesh import STRUCTURES, devectorize, vectorize
+from .objectives import LabelledPoints
 from .optim import Adam
 
 
@@ -162,22 +162,6 @@ def _whiten_scale(model):
     return np.sqrt(np.maximum(model.explained_variance, 0.0))
 
 
-def _frame_slices(topology):
-    per_frame = 3 * topology.total_vertices
-    return [
-        slice(t * per_frame, (t + 1) * per_frame) for t in range(topology.n_frames)
-    ]
-
-
-def _structure_rows(topology):
-    rows = {}
-    k = 0
-    for s, n in topology.counts.items():
-        rows[s] = slice(k, k + n)
-        k += n
-    return rows
-
-
 def fit_to_contours(model, contours, lr=0.05, iters=500):
     """Estimate descriptor weights from sparse per-frame contour points.
 
@@ -187,9 +171,10 @@ def fit_to_contours(model, contours, lr=0.05, iters=500):
     mean nearest-neighbour distance between the decoded vertices and the
     contour points, per structure entry, summed over frames and entries.
 
-    Structure-restricted matching is batched per frame by shifting every
-    structure into its own distant coordinate block: nearest neighbours can
-    then never cross structures while all lookups share one tree.
+    Each frame is matched as in subject fitting (:class:`LabelledPoints`):
+    once for the labelled entries, against the vertices of the structures
+    they name, and once for an unlabelled entry, against every vertex under
+    one label.
     """
     model.require_trained()
     topology = model.topology
@@ -199,93 +184,46 @@ def fit_to_contours(model, contours, lr=0.05, iters=500):
         raise ValueError(
             f"contours cover {len(contours)} frames, model has {topology.n_frames}"
         )
-    slices = _frame_slices(topology)
-    rows = _structure_rows(topology)
-    block = 1e5  # far larger than any mesh extent
-    offsets = {
-        s: np.array([block * (i + 1), 0.0, 0.0])
-        for i, s in enumerate(rows)
-    }
-
-    # Per frame: labelled points (offset trick) and unlabelled points
-    # (matched against the union of all structures).
-    frames_info = []
-    any_points = False
+    # (frame, vertex rows, vertex labels, LabelledPoints) per match
+    matches = []
     for t, frame in enumerate(contours):
-        labelled_pts = []
-        labelled_weight = []  # per point: 1 / (n points of its entry)
-        union_entries = []
-        vert_weight = np.zeros(topology.total_vertices)
+        labelled = []
         for s, pts in frame.items():
             pts = np.asarray(pts, dtype=np.float64)
             if len(pts) == 0:
                 continue
-            any_points = True
             if s is None:
-                union_entries.append((pts, cKDTree(pts)))
-                continue
-            labelled_pts.append(pts + offsets[s])
-            labelled_weight.append(np.full(len(pts), 1.0 / len(pts)))
-            vert_weight[rows[s]] = 1.0 / topology.counts[s]
-        info = {"labelled": None, "union": union_entries}
-        if labelled_pts:
-            pts_all = np.concatenate(labelled_pts)
-            info["labelled"] = {
-                "points": pts_all,
-                "tree": cKDTree(pts_all),
-                "point_weight": np.concatenate(labelled_weight)[:, None],
-                "vert_weight": vert_weight[:, None],
-            }
-        frames_info.append(info)
-    if not any_points:
+                no_labels = np.zeros_like(topology.labels)
+                unlabelled = LabelledPoints(pts, np.zeros(len(pts), int))
+                matches.append((t, slice(None), no_labels, unlabelled))
+            else:
+                labelled.append((STRUCTURES.index(s), pts))
+        if labelled:
+            ids = [k for k, _ in labelled]
+            point_labels = np.repeat(ids, [len(p) for _, p in labelled])
+            rows = np.flatnonzero(np.isin(topology.labels, ids))
+            if len(rows) == len(topology.labels):
+                rows = slice(None)  # a view, not a fancy-indexed copy
+            points = LabelledPoints(np.concatenate([p for _, p in labelled]), point_labels)
+            matches.append((t, rows, topology.labels[rows], points))
+    if not matches:
         raise ValueError("no contour points given")
-
-    vert_offset = np.concatenate(
-        [np.tile(offsets[s], (topology.counts[s], 1)) for s in rows]
-    )
 
     scale = _whiten_scale(model)
     z = np.zeros(model.n_active)
     adam = Adam(lr=lr)
     best = (np.inf, z.copy())
     for _ in range(iters):
-        w = scale * z
-        vec = decode(model, w)
-        grad_vec = np.zeros_like(vec)
+        x = decode(model, scale * z).reshape(topology.n_frames, -1, 3)
+        grad = np.zeros_like(x)
         value = 0.0
-        for t, info in enumerate(frames_info):
-            frame = vec[slices[t]].reshape(-1, 3)
-            gf = grad_vec[slices[t]].reshape(-1, 3)
-            lab = info["labelled"]
-            if lab is not None:
-                shifted = frame + vert_offset
-                pts = lab["points"]
-                vw = lab["vert_weight"]
-                d_vp, idx_vp = lab["tree"].query(shifted)
-                vert_tree = cKDTree(
-                    shifted, balanced_tree=False, compact_nodes=False
-                )
-                d_pv, idx_pv = vert_tree.query(pts)
-                # structures absent from this frame carry zero weight, so
-                # their (huge cross-block) matches never contribute
-                value += float(d_vp @ vw[:, 0])
-                gf += _safe_unit(shifted - pts[idx_vp], d_vp) * vw
-                value += float(d_pv @ lab["point_weight"][:, 0])
-                back = _safe_unit(shifted[idx_pv] - pts, d_pv)
-                np.add.at(gf, idx_pv, back * lab["point_weight"])
-            for pts, tree in info["union"]:
-                d_vp, idx_vp = tree.query(frame)
-                vert_tree = cKDTree(
-                    frame, balanced_tree=False, compact_nodes=False
-                )
-                d_pv, idx_pv = vert_tree.query(pts)
-                value += d_vp.mean() + d_pv.mean()
-                gf += _safe_unit(frame - pts[idx_vp], d_vp) / len(frame)
-                back = _safe_unit(frame[idx_pv] - pts, d_pv) / len(pts)
-                np.add.at(gf, idx_pv, back)
+        for t, rows, vert_labels, points in matches:
+            v, g = points.match(x[t, rows], vert_labels)
+            value += v
+            grad[t, rows] += g
         if value < best[0]:
             best = (value, z.copy())
-        g_z = scale * (model.components @ grad_vec)
+        g_z = scale * (model.components @ grad.ravel())
         z = adam.step(z, g_z)
     return scale * best[1]
 

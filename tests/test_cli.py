@@ -299,6 +299,35 @@ class TestExitCodes:
         assert str(attributes) in capsys.readouterr().err
         assert not (tmp_path / "corr" / "correlation.csv").exists()
 
+    def test_fit_lr_zero_exit_2(self, synth_dir, tmp_path, capsys):
+        rc = main(
+            [
+                "fit", "--template", str(synth_dir / "template"),
+                "--targets", str(synth_dir / "subject_000" / "targets.bin"),
+                "--iterations", "2", "--lr", "0", "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "lr" in capsys.readouterr().err
+
+    def test_non_finite_fit_exit_1(self, synth_dir, tmp_path, monkeypatch, capsys):
+        from cardioshape import fitting
+
+        monkeypatch.setattr(fitting.Adam, "step", lambda self, p, g: p * np.nan)
+        rc = main(
+            [
+                "fit", "--template", str(synth_dir / "template"),
+                "--targets", str(synth_dir / "subject_000" / "targets.bin"),
+                "--iterations", "2",
+                "--dims-coarse", "4", "4", "4",
+                "--dims-mid", "5", "5", "5",
+                "--dims-fine", "6", "6", "6",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 1
+        assert "stage 1, iteration 1" in capsys.readouterr().err
+
     def test_complete_frame_count_mismatch_exit_2(self, synth_dir, model_dir, tmp_path):
         rc = main(
             [

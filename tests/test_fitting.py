@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from cardioshape import synth
+from cardioshape import fitting, mesh, synth
 from cardioshape.ffd import ControlGrid, warp_points
 from cardioshape.fitting import FitConfig, extract_surface_points, fit_sequence
 from cardioshape.mesh import STRUCTURES, MeshSequence
 from cardioshape.objectives import TargetClouds, cycle_loss, recon_loss, surface_distances
+
+from conftest import pooled
 
 
 class TestExtractSurfacePoints:
@@ -48,7 +50,7 @@ class TestExtractSurfacePoints:
 @pytest.fixture(scope="module")
 def self_reconstruction():
     cfg = synth.SynthConfig(scale=0.03, n_frames=4, seed=3)
-    template, curv = synth.make_template(cfg)
+    template, _ = synth.make_template(cfg)
     p0 = template.all_vertices()
     lo, hi = p0.min(axis=0) - 10, p0.max(axis=0) + 10
     rng = np.random.default_rng(7)
@@ -76,7 +78,7 @@ def self_reconstruction():
         iterations=120,
         lr=0.5,
     )
-    result = fit_sequence(template, targets, fit_cfg, curv)
+    result = fit_sequence(template, targets, fit_cfg)
     return template, targets, fit_cfg, result
 
 
@@ -84,8 +86,8 @@ class TestFitSequence:
     def test_recon_loss_drops_and_assd_small(self, self_reconstruction):
         template, targets, _, (seq, grids, trace) = self_reconstruction
         initial = MeshSequence([template] * targets.n_frames)
-        r0, _ = recon_loss(initial, targets)
-        r1, _ = recon_loss(seq, targets)
+        r0, _ = recon_loss(*pooled(initial), targets)
+        r1, _ = recon_loss(*pooled(seq), targets)
         assert r1 < 0.1 * r0
         worst = max(
             surface_distances(seq.frames[t][s].vertices, targets.points(t, s))[
@@ -105,7 +107,7 @@ class TestFitSequence:
 
     def test_cycle_small_on_periodic_targets(self, self_reconstruction):
         _, _, _, (seq, _, _) = self_reconstruction
-        value, _ = cycle_loss(seq)
+        value, _ = cycle_loss(*pooled(seq))
         assert value < 0.1
 
     def test_trace_stages(self, self_reconstruction):
@@ -123,7 +125,7 @@ class TestFitSequence:
 
     def test_deterministic(self):
         cfg = synth.SynthConfig(scale=0.02, n_frames=2, seed=9)
-        template, curv = synth.make_template(cfg)
+        template, _ = synth.make_template(cfg)
         targets = TargetClouds(
             [
                 {s: template[s].vertices + [1.0, 0.5, -0.25] for s in STRUCTURES}
@@ -137,13 +139,13 @@ class TestFitSequence:
             iterations=30,
             lr=0.3,
         )
-        t1 = fit_sequence(template, targets, fit_cfg, curv)[2]
-        t2 = fit_sequence(template, targets, fit_cfg, curv)[2]
+        t1 = fit_sequence(template, targets, fit_cfg)[2]
+        t2 = fit_sequence(template, targets, fit_cfg)[2]
         assert [x[2] for x in t1] == [x[2] for x in t2]
 
     def test_rigid_target_reached(self):
         cfg = synth.SynthConfig(scale=0.02, n_frames=1, seed=9)
-        template, curv = synth.make_template(cfg)
+        template, _ = synth.make_template(cfg)
         rot = np.array(
             [
                 [np.cos(0.1), -np.sin(0.1), 0],
@@ -162,21 +164,21 @@ class TestFitSequence:
             iterations=150,
             lr=0.5,
         )
-        seq, _, _ = fit_sequence(template, targets, fit_cfg, curv)
-        r, _ = recon_loss(seq, targets)
+        seq, _, _ = fit_sequence(template, targets, fit_cfg)
+        r, _ = recon_loss(*pooled(seq), targets)
         # below one synthetic voxel across the summed structures
         assert r < cfg.voxel_size
 
     def test_missing_structure_rejected(self):
         cfg = synth.SynthConfig(scale=0.02, n_frames=1, seed=9)
-        template, curv = synth.make_template(cfg)
+        template, _ = synth.make_template(cfg)
         targets = TargetClouds([{"RV": template["RV"].vertices.copy()}])
         with pytest.raises(ValueError, match="five structures"):
-            fit_sequence(template, targets, FitConfig(iterations=1), curv)
+            fit_sequence(template, targets, FitConfig(iterations=1))
 
     def test_noop_fit_keeps_small_loss(self):
         cfg = synth.SynthConfig(scale=0.02, n_frames=1, seed=9)
-        template, curv = synth.make_template(cfg)
+        template, _ = synth.make_template(cfg)
         targets = TargetClouds.from_sequence(MeshSequence([template]))
         fit_cfg = FitConfig(
             dims_coarse=(4, 4, 4),
@@ -185,6 +187,50 @@ class TestFitSequence:
             iterations=60,
             lr=0.1,
         )
-        seq, _, trace = fit_sequence(template, targets, fit_cfg, curv)
-        r, _ = recon_loss(seq, targets)
+        seq, _, trace = fit_sequence(template, targets, fit_cfg)
+        r, _ = recon_loss(*pooled(seq), targets)
         assert r < 1e-2
+
+
+@pytest.fixture(scope="module")
+def tiny_fit_inputs():
+    cfg = synth.SynthConfig(scale=0.02, n_frames=3, seed=9)
+    pop = synth.synth_population(cfg, 1)
+    fit_cfg = FitConfig(
+        dims_coarse=(4, 4, 4), dims_mid=(5, 5, 5), dims_fine=(6, 6, 6), iterations=2
+    )
+    return pop.template, TargetClouds.from_sequence(pop.sequences[0]), fit_cfg
+
+
+class TestFitLoops:
+    def test_meshes_built_only_for_the_result(self, tiny_fit_inputs, monkeypatch):
+        template, targets, fit_cfg = tiny_fit_inputs
+        built = []
+        init = mesh.TriMesh.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[-1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(mesh.TriMesh, "__init__", counting_init)
+        fit_sequence(template, targets, fit_cfg)
+        assert len(built) == len(STRUCTURES) * targets.n_frames
+
+    @pytest.mark.parametrize("stage, bad_step", [(1, 1), (2, 3)])
+    def test_non_finite_coordinates_name_stage(
+        self, tiny_fit_inputs, monkeypatch, stage, bad_step
+    ):
+        # Adam steps 1-2 belong to stage 1 and 3-4 to stage 2; the step after
+        # a poisoned one warps to NaN coordinates at the next iteration
+        template, targets, fit_cfg = tiny_fit_inputs
+        step = fitting.Adam.step
+        calls = []
+
+        def poisoned_step(self, params, grads):
+            calls.append(1)
+            out = step(self, params, grads)
+            return out * np.nan if len(calls) == bad_step else out
+
+        monkeypatch.setattr(fitting.Adam, "step", poisoned_step)
+        with pytest.raises(RuntimeError, match=f"stage {stage}, iteration 1"):
+            fit_sequence(template, targets, fit_cfg)

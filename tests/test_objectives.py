@@ -8,6 +8,7 @@ from scipy.spatial.transform import Rotation
 from cardioshape import synth
 from cardioshape.mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh
 from cardioshape.objectives import (
+    LabelledPoints,
     LossWeights,
     TargetClouds,
     curvature_loss,
@@ -22,7 +23,7 @@ from cardioshape.objectives import (
     total_loss,
 )
 
-from conftest import toy_sequence
+from conftest import pooled, toy_sequence
 
 
 @pytest.fixture(scope="module")
@@ -32,26 +33,27 @@ def small_pop():
 
 
 def fd_gradient_check(fn, seq, rng, n_probe=20, h=1e-4, tol=1e-5):
-    """Central-difference check of d(value)/d(vertex) on random coordinates."""
-    stacked = seq.stacked()
-    _, grads = fn(seq)
-    gmax = max(np.abs(g).max() for g in grads.values())
+    """Central-difference check of d(value)/d(vertex) on random coordinates;
+    ``fn(x, topology)`` is a loss on pooled coordinates."""
+    x, topo = pooled(seq)
+    _, grad = fn(x, topo)
+    gmax = np.abs(grad).max()
     assert gmax > 0
     checked = 0
     worst = 0.0
     while checked < n_probe:
         s = STRUCTURES[rng.integers(5)]
         t = int(rng.integers(seq.n_frames))
-        i = int(rng.integers(stacked[s].shape[1]))
+        i = topo.rows[s].start + int(rng.integers(topo.counts[s]))
         k = int(rng.integers(3))
-        perturbed = {ss: v.copy() for ss, v in stacked.items()}
-        perturbed[s][t, i, k] += h
-        vp, _ = fn(seq.with_stacked(perturbed))
-        perturbed[s][t, i, k] -= 2 * h
-        vm, _ = fn(seq.with_stacked(perturbed))
+        perturbed = x.copy()
+        perturbed[t, i, k] += h
+        vp, _ = fn(perturbed, topo)
+        perturbed[t, i, k] -= 2 * h
+        vm, _ = fn(perturbed, topo)
         fd = (vp - vm) / (2 * h)
         if abs(fd) > 1e-3 * gmax:
-            worst = max(worst, abs(grads[s][t, i, k] - fd) / abs(fd))
+            worst = max(worst, abs(grad[t, i, k] - fd) / abs(fd))
             checked += 1
     assert worst < tol
 
@@ -59,9 +61,9 @@ def fd_gradient_check(fn, seq, rng, n_probe=20, h=1e-4, tol=1e-5):
 class TestReconLoss:
     def test_zero_at_self_targets(self, small_pop):
         seq = small_pop.sequences[0]
-        value, grads = recon_loss(seq, TargetClouds.from_sequence(seq))
+        value, grad = recon_loss(*pooled(seq), TargetClouds.from_sequence(seq))
         assert value == 0.0
-        assert all(np.abs(g).max() == 0.0 for g in grads.values())
+        assert np.abs(grad).max() == 0.0
 
     def test_translated_targets_value(self):
         # shift well below the vertex spacing: every point matches its own
@@ -71,7 +73,7 @@ class TestReconLoss:
         targets = TargetClouds(
             [{s: seq.frames[0][s].vertices + [0, 0, d] for s in STRUCTURES}]
         )
-        value, _ = recon_loss(seq, targets)
+        value, _ = recon_loss(*pooled(seq), targets)
         assert abs(value - 2 * d * len(STRUCTURES)) < 1e-12
 
     def test_matches_exhaustive_oracle(self, small_pop):
@@ -86,7 +88,7 @@ class TestReconLoss:
                 for fr in seq.frames
             ]
         )
-        value, _ = recon_loss(seq, targets)
+        value, _ = recon_loss(*pooled(seq), targets)
         oracle = 0.0
         for t, fr in enumerate(seq.frames):
             for s in STRUCTURES:
@@ -104,11 +106,88 @@ class TestReconLoss:
                 for fr in seq.frames
             ]
         )
-        fd_gradient_check(lambda q: recon_loss(q, targets), seq, rng)
+        fd_gradient_check(lambda x, topo: recon_loss(x, topo, targets), seq, rng)
 
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             TargetClouds([{"LV-endo": np.zeros((0, 3))}])
+        with pytest.raises(ValueError, match="frame 1"):
+            TargetClouds([{"RV": np.zeros((2, 3))}, {"LA": np.zeros((2, 3))}])
+        with pytest.raises(ValueError, match="finite"):
+            TargetClouds([{"RV": np.array([[0.0, np.nan, 0.0]])}])
+
+
+def match_oracle(verts, vert_labels, points, point_labels):
+    """Value and vertex gradient of LabelledPoints.match from full distance
+    matrices, one label at a time."""
+    value = 0.0
+    grad = np.zeros_like(verts)
+    for k in np.unique(point_labels):
+        vi = np.flatnonzero(vert_labels == k)
+        pi = np.flatnonzero(point_labels == k)
+        dm = distance_matrix(verts[vi], points[pi])
+        value += dm.min(axis=1).mean() + dm.min(axis=0).mean()
+        near_p = pi[dm.argmin(axis=1)]
+        near_v = vi[dm.argmin(axis=0)]
+        diff = verts[vi] - points[near_p]
+        grad[vi] += diff / np.linalg.norm(diff, axis=1)[:, None] / len(vi)
+        diff = verts[near_v] - points[pi]
+        np.add.at(grad, near_v, diff / np.linalg.norm(diff, axis=1)[:, None] / len(pi))
+    return value, grad
+
+
+class TestLabelledPointsMatch:
+    @pytest.mark.parametrize("origin", [0.0, 1e6])
+    def test_matches_distance_matrix_oracle(self, origin):
+        # labels 0, 2 and 4 only (1 and 3 absent); each label's points lie on
+        # the vertices of the label before it, 40 mm from its own vertices,
+        # so any match across labels would be far shorter than the true one
+        rng = np.random.default_rng(16)
+        base = {k: rng.normal(0, 5, (30 + 7 * k, 3)) for k in (0, 2, 4)}
+        verts = np.concatenate([base[k] + [40.0 * k, 0, 0] for k in (0, 2, 4)])
+        vert_labels = np.repeat([0, 2, 4], [len(base[k]) for k in (0, 2, 4)])
+        points = np.concatenate(
+            [verts[vert_labels == j][:20] + rng.normal(0, 0.1, (20, 3)) for j in (0, 2, 4)]
+        )
+        point_labels = np.repeat([2, 4, 0], 20)
+        verts = verts + origin
+        points = points + origin
+        target = LabelledPoints(points, point_labels)
+        value, grad = target.match(verts, vert_labels)
+        ref_value, ref_grad = match_oracle(verts, vert_labels, points, point_labels)
+        assert value > 30.0
+        assert abs(value - ref_value) < 1e-12 * ref_value
+        assert np.abs(grad - ref_grad).max() < 1e-12
+        # the tree is reused while its spacing separates the blocks, and
+        # rebuilt once the vertices spread further
+        for factor, reused in ((1.01, True), (50.0, False)):
+            moved = origin + factor * (verts - origin)
+            old_tree = target.tree
+            value, grad = target.match(moved, vert_labels)
+            assert (target.tree is old_tree) == reused
+            ref_value, ref_grad = match_oracle(moved, vert_labels, points, point_labels)
+            assert abs(value - ref_value) < 1e-12 * ref_value
+            assert np.abs(grad - ref_grad).max() < 1e-12
+
+    def test_recon_on_structures_present(self, small_pop):
+        # targets for two structures: the others' rows get no gradient
+        rng = np.random.default_rng(17)
+        seq = small_pop.sequences[0]
+        x, topo = pooled(seq)
+        present = ("RV", "LV-endo")
+        targets = TargetClouds(
+            [{s: fr[s].vertices + rng.normal(0, 2, fr[s].vertices.shape) for s in present}
+             for fr in seq.frames]
+        )
+        value, grad = recon_loss(x, topo, targets)
+        oracle = 0.0
+        for t in range(seq.n_frames):
+            for s in present:
+                dm = distance_matrix(x[t, topo.rows[s]], targets.points(t, s))
+                oracle += dm.min(axis=1).mean() + dm.min(axis=0).mean()
+        assert abs(value - oracle / seq.n_frames) < 1e-12
+        for s in STRUCTURES:
+            assert (np.abs(grad[:, topo.rows[s]]).max() > 0) == (s in present)
 
 
 class TestEdgeLoss:
@@ -118,7 +197,7 @@ class TestEdgeLoss:
             [[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0]], [[0, 1, 2]], "LV-endo"
         )
         seq = toy_sequence(n_frames=2, base=tri)
-        value, grads = edge_loss(seq)
+        value, _ = edge_loss(*pooled(seq))
         assert value < 1e-12
 
     def test_gradient_fd(self, small_pop):
@@ -130,7 +209,7 @@ class TestCurvatureLoss:
     def test_template_repeated_is_zero(self, small_pop):
         template = small_pop.template
         seq = MeshSequence([template, template])
-        value, _ = curvature_loss(seq, small_pop.curvatures)
+        value, _ = curvature_loss(*pooled(seq), small_pop.curvatures)
         assert value == 0.0
 
     def test_anticorrelated_term_is_two(self, small_pop):
@@ -144,7 +223,7 @@ class TestCurvatureLoss:
                 for s in STRUCTURES
             }
         )
-        value, _ = curvature_loss(MeshSequence([flipped]), small_pop.curvatures)
+        value, _ = curvature_loss(*pooled(MeshSequence([flipped])), small_pop.curvatures)
         assert abs(value - 2.0 * len(STRUCTURES)) < 1e-12
 
     def test_rigid_rotation_invariant(self, small_pop):
@@ -155,19 +234,19 @@ class TestCurvatureLoss:
         moved = small_pop.template.transformed(
             rotation=q, translation=np.array([4.0, 5.0, -6.0])
         )
-        value, _ = curvature_loss(MeshSequence([moved]), small_pop.curvatures)
+        value, _ = curvature_loss(*pooled(MeshSequence([moved])), small_pop.curvatures)
         assert abs(value) < 1e-9
 
     def test_zero_variance_rejected(self, small_pop):
         template = small_pop.template
         flat = {s: np.zeros(template[s].n_vertices) for s in STRUCTURES}
         with pytest.raises(ValueError, match="zero-variance"):
-            curvature_loss(MeshSequence([template]), flat)
+            curvature_loss(*pooled(MeshSequence([template])), flat)
 
     def test_gradient_fd(self, small_pop):
         rng = np.random.default_rng(4)
         fd_gradient_check(
-            lambda q: curvature_loss(q, small_pop.curvatures),
+            lambda x, topo: curvature_loss(x, topo, small_pop.curvatures),
             small_pop.sequences[0],
             rng,
         )
@@ -175,17 +254,17 @@ class TestCurvatureLoss:
 
 class TestTemporalLoss:
     def test_static_zero(self):
-        value, _ = temporal_loss(toy_sequence(n_frames=3))
+        value, _ = temporal_loss(*pooled(toy_sequence(n_frames=3)))
         assert value == 0.0
 
     def test_unit_step_per_frame(self):
         seq = toy_sequence(n_frames=4, motion=lambda t: [float(t), 0, 0])
-        value, _ = temporal_loss(seq)
+        value, _ = temporal_loss(*pooled(seq))
         assert abs(value - 1.0 * len(STRUCTURES)) < 1e-12
 
     def test_single_frame_rejected(self):
         with pytest.raises(ValueError, match="two frames"):
-            temporal_loss(toy_sequence(n_frames=1))
+            temporal_loss(*pooled(toy_sequence(n_frames=1)))
 
     def test_gradient_fd(self, small_pop):
         rng = np.random.default_rng(5)
@@ -194,20 +273,20 @@ class TestTemporalLoss:
 
 class TestCycleLoss:
     def test_periodic_zero(self, small_pop):
-        value, _ = cycle_loss(small_pop.sequences[0])
+        value, _ = cycle_loss(*pooled(small_pop.sequences[0]))
         assert value == 0.0
 
     def test_shifted_last_frame(self):
         seq = toy_sequence(
             n_frames=3, motion=lambda t: [0, 2.0 if t == 2 else 0.0, 0]
         )
-        value, _ = cycle_loss(seq)
+        value, _ = cycle_loss(*pooled(seq))
         assert abs(value - 2.0 * len(STRUCTURES)) < 1e-12
 
     def test_matches_exhaustive(self):
         rng = np.random.default_rng(6)
         seq = toy_sequence(n_frames=3, motion=lambda t: rng.normal(size=3))
-        value, _ = cycle_loss(seq)
+        value, _ = cycle_loss(*pooled(seq))
         oracle = sum(
             np.sqrt(
                 ((seq.frames[-1][s].vertices - seq.frames[0][s].vertices) ** 2).sum(
@@ -245,18 +324,19 @@ class TestTotalLoss:
             ]
         )
         total, _, _ = total_loss(
-            seq, targets, LossWeights(0.0, 0.0, 0.0, 0.0), small_pop.curvatures
+            *pooled(seq), targets, LossWeights(0.0, 0.0, 0.0, 0.0), small_pop.curvatures
         )
-        ref, _ = recon_loss(seq, targets)
+        ref, _ = recon_loss(*pooled(seq), targets)
         assert total == ref
 
     def test_linear_in_edge_weight(self, small_pop):
         seq = small_pop.sequences[0]
         targets = TargetClouds.from_sequence(seq)
         curv = small_pop.curvatures
-        v1, _, _ = total_loss(seq, targets, LossWeights(0.5, 0, 0, 0), curv)
-        v2, _, _ = total_loss(seq, targets, LossWeights(1.0, 0, 0, 0), curv)
-        e, _ = edge_loss(seq)
+        x, topo = pooled(seq)
+        v1, _, _ = total_loss(x, topo, targets, LossWeights(0.5, 0, 0, 0), curv)
+        v2, _, _ = total_loss(x, topo, targets, LossWeights(1.0, 0, 0, 0), curv)
+        e, _ = edge_loss(x, topo)
         assert abs((v2 - v1) - 0.5 * e) < 1e-12
 
     def test_negative_weight_rejected(self):
@@ -273,7 +353,7 @@ class TestTotalLoss:
                 for fr in seq.frames
             ]
         )
-        _, _, terms = total_loss(seq, targets, LossWeights(), small_pop.curvatures)
+        _, _, terms = total_loss(*pooled(seq), targets, LossWeights(), small_pop.curvatures)
         assert all(v >= 0 for v in terms.values())
 
 
@@ -413,17 +493,18 @@ class TestLossInvariances:
         )
         terms = [
             edge_loss,
-            lambda q: curvature_loss(q, small_pop.curvatures),
+            lambda x, topo: curvature_loss(x, topo, small_pop.curvatures),
             temporal_loss,
             cycle_loss,
         ]
+        x, topo = pooled(seq)
+        x_m = pooled(moved)[0]
         for fn in terms:
-            value, grads = fn(seq)
-            value_m, grads_m = fn(moved)
+            value, grad = fn(x, topo)
+            value_m, grad_m = fn(x_m, topo)
             assert abs(value_m - value) <= 1e-9 * abs(value)
-            gmax = max(np.abs(g).max() for g in grads.values())
-            for s in STRUCTURES:
-                assert np.abs(grads_m[s] - grads[s] @ rot.T).max() <= 1e-8 * gmax
+            gmax = np.abs(grad).max()
+            assert np.abs(grad_m - grad @ rot.T).max() <= 1e-8 * gmax
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -435,8 +516,10 @@ class TestLossInvariances:
             for fr in seq.frames
         ]
         shuffled = [{s: rng.permutation(fr[s]) for s in STRUCTURES} for fr in frames]
-        value, grads = recon_loss(seq, TargetClouds(frames))
-        value_p, grads_p = recon_loss(seq, TargetClouds(shuffled))
+        x, topo = pooled(seq)
+        value, grad = recon_loss(x, topo, TargetClouds(frames))
+        value_p, grad_p = recon_loss(x, topo, TargetClouds(shuffled))
         assert abs(value_p - value) <= 1e-12 * value
-        for s in STRUCTURES:
-            assert np.abs(grads_p[s] - grads[s]).max() <= 1e-12 * np.abs(grads[s]).max()
+        for rows in topo.rows.values():
+            g = grad[:, rows]
+            assert np.abs(grad_p[:, rows] - g).max() <= 1e-12 * np.abs(g).max()

@@ -41,6 +41,9 @@ def test_shape_mismatch_rejected():
 
 
 def test_invalid_hyperparameters():
+    for lr in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lr"):
+            Adam(lr=lr)
     with pytest.raises(ValueError):
         Adam(beta1=1.0)
     with pytest.raises(ValueError):

@@ -179,34 +179,48 @@ class TestGeneralization:
         assert np.all(np.diff(per, axis=0) <= 1e-12)
 
 
+@pytest.fixture(scope="module")
+def plane_contours(trained_population):
+    """Known weights and the labelled contours of 20 plane cuts per frame."""
+    _, _, model = trained_population
+    topo = model.topology
+    ev = model.explained_variance
+    w_true = np.zeros(model.n_active)
+    w_true[:4] = np.array([1.8, -1.5, 1.6, -1.4]) * np.sqrt(ev[:4])
+    seq = devectorize(decode(model, w_true), topo)
+    planes = [
+        (np.array([0.37, -0.61, z]), np.array([0.0, 0.0, 1.0]))
+        for z in np.linspace(-46, 44, 10)
+    ] + [
+        (np.array([0.37, -0.61, 0.29]), np.array([np.sin(a), -np.cos(a), 0.0]))
+        for a in np.linspace(0.13, np.pi - 0.22, 10)
+    ]
+    contours = []
+    for t in range(topo.n_frames):
+        frame = {}
+        for s in STRUCTURES:
+            pts = [synth.plane_section(seq.frames[t][s], o, n) for o, n in planes]
+            pts = [p for p in pts if len(p)]
+            if pts:
+                frame[s] = np.concatenate(pts)
+        contours.append(frame)
+    return w_true, contours
+
+
 class TestFitToContours:
-    def test_recovery_from_contours(self, trained_population):
-        pop, vectors, model = trained_population
-        topo = model.topology
-        rng = np.random.default_rng(3)
-        ev = model.explained_variance
-        w_true = np.zeros(model.n_active)
-        w_true[:4] = np.array([1.8, -1.5, 1.6, -1.4]) * np.sqrt(ev[:4])
-        seq = devectorize(decode(model, w_true), topo)
-        planes = [
-            (np.array([0.37, -0.61, z]), np.array([0.0, 0.0, 1.0]))
-            for z in np.linspace(-46, 44, 10)
-        ] + [
-            (np.array([0.37, -0.61, 0.29]), np.array([np.sin(a), -np.cos(a), 0.0]))
-            for a in np.linspace(0.13, np.pi - 0.22, 10)
-        ]
-        contours = []
-        for t in range(topo.n_frames):
-            frame = {}
-            for s in STRUCTURES:
-                pts = [
-                    synth.plane_section(seq.frames[t][s], o, n) for o, n in planes
-                ]
-                pts = [p for p in pts if len(p)]
-                if pts:
-                    frame[s] = np.concatenate(pts)
-            contours.append(frame)
+    def test_recovery_from_contours(self, trained_population, plane_contours):
+        _, _, model = trained_population
+        w_true, contours = plane_contours
         w_hat = fit_to_contours(model, contours, lr=0.05, iters=400)
+        rel = np.abs(w_hat[:4] - w_true[:4]) / np.abs(w_true[:4])
+        assert rel.max() < 0.10
+
+    def test_recovery_from_unlabelled_contours(self, trained_population, plane_contours):
+        # the same points without structure labels: each matches any vertex
+        _, _, model = trained_population
+        w_true, contours = plane_contours
+        unlabelled = [{None: np.concatenate(list(fr.values()))} for fr in contours]
+        w_hat = fit_to_contours(model, unlabelled, lr=0.05, iters=400)
         rel = np.abs(w_hat[:4] - w_true[:4]) / np.abs(w_true[:4])
         assert rel.max() < 0.10
 

@@ -5,6 +5,8 @@ from cardioshape import synth
 from cardioshape.mesh import STRUCTURES, vectorize
 from cardioshape.objectives import cycle_loss, surface_distances
 
+from conftest import pooled
+
 
 class TestSphereMeshes:
     def test_icosphere_counts(self):
@@ -71,7 +73,7 @@ class TestSynthPopulation:
         cfg = synth.SynthConfig(scale=0.02, n_frames=5, seed=1)
         pop = synth.synth_population(cfg, 3)
         for seq in pop.sequences:
-            value, _ = cycle_loss(seq)
+            value, _ = cycle_loss(*pooled(seq))
             assert value < 1e-9
 
     def test_zero_weight_subject_is_template_with_motion(self):
