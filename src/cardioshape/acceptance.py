@@ -234,72 +234,6 @@ def criterion_2_loss_oracles():
     )
 
 
-_TRIAL_STATE = {}
-
-
-def _one_blas_thread():
-    """Pool initializer: each worker runs BLAS on one thread.
-
-    The workers already share the cores; OpenBLAS's own threads on top of
-    them oversubscribe the machine, and criterion 7 ran over three times
-    slower.  The OpenBLAS builds numpy and scipy bundle are found among the
-    process's loaded libraries (Linux); where none is found this does
-    nothing.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in (
-            "openblas_set_num_threads",
-            "scipy_openblas_set_num_threads",
-            "scipy_openblas_set_num_threads64_",
-        ):
-            if hasattr(lib, name):
-                getattr(lib, name)(1)
-
-
-def _map_trials(trial, data, items):
-    """``[trial(i) for i in items]``, on a small fork pool when there are cores.
-
-    Trials are independent (each has its own seed stream) and read their
-    shared set-up from ``_TRIAL_STATE["data"]``, so results do not depend on
-    scheduling.  ``CARDIOSHAPE_THREADS`` sets the number of workers.
-    """
-    import multiprocessing
-    import os
-
-    n_workers = int(
-        os.environ.get("CARDIOSHAPE_THREADS", min(2, os.cpu_count() or 1))
-    )
-    _TRIAL_STATE["data"] = data
-    try:
-        if n_workers <= 1:
-            return [trial(i) for i in items]
-        with multiprocessing.get_context("fork").Pool(
-            n_workers, initializer=_one_blas_thread
-        ) as pool:
-            return pool.map(trial, items)
-    finally:
-        del _TRIAL_STATE["data"]
-
-
-def _criterion_3_trial(trial):
-    """One inject-and-recover trial: displacement errors and a Dice win."""
-    intens, labels, geom, specs = _TRIAL_STATE["data"]
-    views, injected = slice_views(intens, labels, geom, specs, 2.0, _rng(300 + trial))
-    pre = eval_intersections(views)
-    displacements, _ = mc_optimize(views, lr=0.1, epochs=200)
-    post = eval_intersections(views)
-    errors = [float(np.linalg.norm(displacements[k] + injected[k])) for k in injected]
-    return errors, bool(post["dice"] > pre["dice"])
-
-
 def criterion_3_motion(n_trials=50):
     """Inject-and-recover on seeded view sets at 64 x 64, T = 10."""
     t0 = time.time()
@@ -313,9 +247,18 @@ def criterion_3_motion(n_trials=50):
         intensity_volume(labels[t], texture=texture) for t in range(cfg.n_frames)
     ]
     specs = default_view_specs(geom, n_sax=7, pixel_spacing=1.5, size=64)
-    outcomes = _map_trials(_criterion_3_trial, (intens, labels, geom, specs), range(n_trials))
-    errors = [e for trial_errors, _ in outcomes for e in trial_errors]
-    dice_wins = sum(win for _, win in outcomes)
+    errors = []
+    dice_wins = 0
+    for trial in range(n_trials):
+        rng = _rng(300 + trial)
+        views, injected = slice_views(intens, labels, geom, specs, 2.0, rng)
+        pre = eval_intersections(views)
+        displacements, _ = mc_optimize(views, lr=0.1, epochs=200)
+        post = eval_intersections(views)
+        errors.extend(
+            float(np.linalg.norm(displacements[k] + injected[k])) for k in injected
+        )
+        dice_wins += post["dice"] > pre["dice"]
     median_err = float(np.median(errors))
     win_rate = dice_wins / n_trials
     passed = median_err < 0.5 and win_rate >= 0.95
@@ -477,9 +420,12 @@ def criterion_6_ssm_curves():
     )
 
 
+_C7_STATE = {}
+
+
 def _criterion_7_subject(args):
     """One recovery trial; module-level so worker processes can run it."""
-    model, subject_idx = _TRIAL_STATE["data"], args
+    model, subject_idx = _C7_STATE["model"], args
     topo = model.topology
     ev = model.explained_variance
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([707, subject_idx])))
@@ -519,7 +465,11 @@ def _criterion_7_subject(args):
 
 
 def criterion_7_contours(n_subjects=30):
-    """Descriptor recovery from self-generated sparse contours."""
+    """Descriptor recovery from self-generated sparse contours.
+
+    Trials are independent per subject (own seed stream), so they run on a
+    small process pool; results do not depend on scheduling.
+    """
     t0 = time.time()
     cfg = SynthConfig(scale=0.04, n_frames=10, seed=21, n_modes=6)
     pop = synth_population(cfg, 70)
@@ -528,7 +478,18 @@ def criterion_7_contours(n_subjects=30):
     model = cssm.ShapeModel(n_components=20, topology=topo)
     cssm.ipca_partial_fit(model, vectors)
 
-    outcomes = _map_trials(_criterion_7_subject, model, range(n_subjects))
+    import multiprocessing
+    import os
+
+    _C7_STATE["model"] = model
+    n_workers = int(
+        os.environ.get("CARDIOSHAPE_THREADS", min(2, os.cpu_count() or 1))
+    )
+    if n_workers > 1:
+        with multiprocessing.get_context("fork").Pool(n_workers) as pool:
+            outcomes = pool.map(_criterion_7_subject, range(n_subjects))
+    else:
+        outcomes = [_criterion_7_subject(i) for i in range(n_subjects)]
     ok = sum(outcomes)
     passed = ok >= 0.9 * n_subjects
     return _result(

@@ -50,20 +50,11 @@ class LabelledPoints:
     over all the points serves every label and no match crosses blocks.  The
     tree is built on first use and kept while its block spacing still
     separates the blocks around the vertices it is given.
-
-    With ``remember=True`` each nearest neighbour found is kept with the gap
-    between the nearest and second-nearest distance.  By the triangle
-    inequality it stays the nearest until the vertices have moved half that
-    gap, so only answers the motion may have changed are looked up again,
-    and every answer equals a fresh query's (up to exact ties).  That pays where few vertices
-    are matched many times against sparse points, as in contour fitting; on
-    dense targets most answers go stale at every step.
     """
 
-    def __init__(self, points, labels, remember=False):
+    def __init__(self, points, labels):
         self.points = points
         self.labels = labels
-        self.remember = remember
         # column by column: an axis-0 reduction of (n, 3) rows is ~10x slower
         lo = np.array([c.min() for c in points.T])
         hi = np.array([c.max() for c in points.T])
@@ -72,7 +63,6 @@ class LabelledPoints:
         self.counts = np.bincount(labels)
         self.spacing = 0.0
         self.tree = None
-        self._near = None
 
     def match(self, verts, vert_labels):
         """Value and vertex gradient of the matching distance.
@@ -90,9 +80,9 @@ class LabelledPoints:
         if self.spacing < 6.0 * r + 1.0:
             self.spacing = 2.0 ** np.ceil(np.log2(12.0 * r + 2.0))
             self.tree = cKDTree(_blocked(self.points, self.labels, self.spacing))
-            self._near = None
         blocked = _blocked(verts, vert_labels, self.spacing)
-        idx_vp, idx_pv = self._nearest(verts, vert_labels, blocked, r)
+        idx_vp = self.tree.query(blocked)[1]
+        idx_pv = cKDTree(blocked).query(self.tree.data)[1]
         # row norms by einsum: about 3x faster than np.linalg.norm
         diff_vp = verts - self.points[idx_vp]
         d_vp = np.sqrt(np.einsum("ij,ij->i", diff_vp, diff_vp))
@@ -105,52 +95,6 @@ class LabelledPoints:
         grad = _safe_unit(diff_vp, d_vp * n_v)
         grad += _scatter_rows(idx_pv, _safe_unit(diff_pv, d_pv * n_p), len(verts))
         return value, grad
-
-    def _nearest(self, verts, vert_labels, blocked, r):
-        """Nearest point of each vertex and nearest vertex of each point.
-
-        When remembering, a vertex's answer is looked up again once twice its
-        own move since the lookup reaches the gap.  A point's answer is looked
-        up again once twice the largest vertex move since its lookup may reach
-        the gap; that move is bounded by ``travel``, the sum over calls of the
-        largest vertex step.
-        """
-        if not self.remember:
-            return self.tree.query(blocked)[1], cKDTree(blocked).query(self.tree.data)[1]
-        # bound on the rounding of blocked coordinates and tree distances
-        margin = 1e-12 * (1.0 + np.abs(self.center).max() + r + self.spacing * len(self.counts))
-        near = self._near
-        if near is None or len(near["at"]) != len(verts) or not np.array_equal(
-            near["vert_labels"], vert_labels
-        ):
-            near = self._near = {
-                "vert_labels": vert_labels.copy(),
-                "at": verts.copy(),
-                "vp": np.zeros(len(verts), dtype=np.intp),
-                "vp_gap": np.full(len(verts), -np.inf),
-                "last": verts.copy(),
-                "travel": 0.0,
-                "pv": np.zeros(len(self.points), dtype=np.intp),
-                "pv_gap": np.full(len(self.points), -np.inf),
-                "pv_travel": np.zeros(len(self.points)),
-            }
-        moved = verts - near["at"]
-        stale = 2.0 * np.sqrt(np.einsum("ij,ij->i", moved, moved)) + margin >= near["vp_gap"]
-        if stale.any():
-            d, i = self.tree.query(blocked[stale], k=2)
-            near["vp"][stale] = i[:, 0]
-            near["vp_gap"][stale] = d[:, 1] - d[:, 0]
-            near["at"][stale] = verts[stale]
-        step = verts - near["last"]
-        near["travel"] += float(np.sqrt(np.einsum("ij,ij->i", step, step).max()))
-        near["last"][...] = verts
-        stale = 2.0 * (near["travel"] - near["pv_travel"]) + margin >= near["pv_gap"]
-        if stale.any():
-            d, i = cKDTree(blocked).query(self.tree.data[stale], k=2)
-            near["pv"][stale] = i[:, 0]
-            near["pv_gap"][stale] = d[:, 1] - d[:, 0]
-            near["pv_travel"][stale] = near["travel"]
-        return near["vp"], near["pv"]
 
 
 class TargetClouds:

@@ -194,7 +194,7 @@ def fit_to_contours(model, contours, lr=0.05, iters=500):
                 continue
             if s is None:
                 no_labels = np.zeros_like(topology.labels)
-                unlabelled = LabelledPoints(pts, np.zeros(len(pts), int), remember=True)
+                unlabelled = LabelledPoints(pts, np.zeros(len(pts), int))
                 matches.append((t, slice(None), no_labels, unlabelled))
             else:
                 labelled.append((STRUCTURES.index(s), pts))
@@ -204,9 +204,7 @@ def fit_to_contours(model, contours, lr=0.05, iters=500):
             rows = np.flatnonzero(np.isin(topology.labels, ids))
             if len(rows) == len(topology.labels):
                 rows = slice(None)  # a view, not a fancy-indexed copy
-            points = LabelledPoints(
-                np.concatenate([p for _, p in labelled]), point_labels, remember=True
-            )
+            points = LabelledPoints(np.concatenate([p for _, p in labelled]), point_labels)
             matches.append((t, rows, topology.labels[rows], points))
     if not matches:
         raise ValueError("no contour points given")

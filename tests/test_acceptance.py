@@ -5,8 +5,6 @@ failure report) and asserts the criterion outcome.  The same checks back the
 ``cardioshape eval --suite acceptance`` command.
 """
 
-import ctypes
-
 import pytest
 
 from cardioshape import acceptance
@@ -97,37 +95,3 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     result = _run(10, workdir=tmp_path)
     assert result.passed, result.detail
     assert result.runtime < 900
-
-
-def _blas_threads(_):
-    counts = []
-    with open("/proc/self/maps") as fh:
-        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in (
-            "openblas_get_num_threads",
-            "scipy_openblas_get_num_threads",
-            "scipy_openblas_get_num_threads64_",
-        ):
-            if hasattr(lib, name):
-                counts.append(getattr(lib, name)())
-    return counts
-
-
-def _square(i):
-    return i * i
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_trial_pool_keeps_order(monkeypatch, workers):
-    monkeypatch.setenv("CARDIOSHAPE_THREADS", workers)
-    assert acceptance._map_trials(_square, None, range(7)) == [i * i for i in range(7)]
-
-
-def test_trial_pool_workers_run_one_blas_thread(monkeypatch):
-    # criteria 3 and 7 run trials on two workers; threaded BLAS inside each
-    # oversubscribes the cores
-    monkeypatch.setenv("CARDIOSHAPE_THREADS", "2")
-    for counts in acceptance._map_trials(_blas_threads, None, range(2)):
-        assert all(c == 1 for c in counts)

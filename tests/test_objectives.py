@@ -169,30 +169,6 @@ class TestLabelledPointsMatch:
             assert abs(value - ref_value) < 1e-12 * ref_value
             assert np.abs(grad - ref_grad).max() < 1e-12
 
-    def test_remembered_answers_equal_fresh_queries(self):
-        # slow random moves with one jump: every remembered nearest
-        # neighbour must be the one a fresh lookup finds, bit for bit
-        rng = np.random.default_rng(23)
-        points = rng.normal(0, 10, (120, 3))
-        point_labels = np.repeat([0, 1, 3], 40)
-        verts = rng.normal(0, 10, (90, 3))
-        vert_labels = np.repeat([0, 1, 3], 30)
-        fresh = LabelledPoints(points, point_labels)
-        kept = LabelledPoints(points, point_labels, remember=True)
-        reused = 0
-        for step in range(40):
-            verts = verts + rng.normal(0, 3.0 if step == 20 else 0.02, verts.shape)
-            value, grad = fresh.match(verts, vert_labels)
-            kept_value, kept_grad = kept.match(verts, vert_labels)
-            assert kept_value == value
-            assert np.array_equal(kept_grad, grad)
-            reused += int((kept._near["at"] != verts).any(axis=1).sum())
-        assert reused > 0  # some answers were kept, not looked up again
-        # a different vertex set starts afresh
-        value, grad = fresh.match(verts[:50], vert_labels[:50])
-        kept_value, kept_grad = kept.match(verts[:50], vert_labels[:50])
-        assert kept_value == value and np.array_equal(kept_grad, grad)
-
     def test_recon_on_structures_present(self, small_pop):
         # targets for two structures: the others' rows get no gradient
         rng = np.random.default_rng(17)
