@@ -459,7 +459,7 @@ def _criterion_7_subject(args):
             if pts:
                 frame[s] = np.concatenate(pts)
         contours.append(frame)
-    w_hat = cssm.fit_to_contours(model, contours, lr=0.05, iters=500)
+    w_hat = cssm.fit_to_contours(model, contours)
     rel = np.abs(w_hat[:5] - w_true[:5]) / np.abs(w_true[:5])
     return bool(np.all(rel < 0.10))
 

@@ -18,7 +18,7 @@ from . import ssm as cssm
 from .fitting import FitConfig, fit_sequence
 from .mesh import MeshSequence, Topology, devectorize, rigid_align, vectorize
 from .motion import eval_intersections, mc_optimize
-from .objectives import LossWeights
+from .objectives import LossWeights, TargetClouds
 from .phenotypes import phenotype_table
 from .population import (
     FeatureMatrix,
@@ -106,7 +106,7 @@ def cmd_synth(args):
         subj = out / f"subject_{i:03d}"
         subj.mkdir(parents=True, exist_ok=True)
         cio.save_sequence(subj / "meshes", seq)
-        targets = _targets_from_sequence(seq)
+        targets = TargetClouds.from_sequence(seq)
         cio.save_target_clouds(subj / "targets.bin", targets)
         if args.views or args.volumes:
             labels = voxelize_sequence(seq, geom)
@@ -141,12 +141,6 @@ def cmd_synth(args):
         json.dumps(ground_truth, sort_keys=True, indent=2) + "\n"
     )
     return 0
-
-
-def _targets_from_sequence(seq):
-    from .objectives import TargetClouds
-
-    return TargetClouds.from_sequence(seq)
 
 
 def cmd_mc(args):
@@ -262,7 +256,7 @@ def cmd_ssm(args):
     if args.action == "fit-contours":
         targets = cio.load_target_clouds(args.contours)
         contours = [dict(frame) for frame in targets.frames]
-        w = cssm.fit_to_contours(model, contours, lr=args.lr, iters=args.iterations)
+        w = cssm.fit_to_contours(model, contours)
         cio.save_features_csv(out / "descriptor.csv", w[None, :])
         return 0
     if args.action == "complete":
@@ -448,8 +442,6 @@ def build_parser():
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--pc", type=int, default=0)
     p.add_argument("--sd", type=float, default=2.0)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--iterations", type=int, default=500)
     _add_common(p)
     p.set_defaults(func=cmd_ssm)
 

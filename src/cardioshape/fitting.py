@@ -14,7 +14,7 @@ import numpy as np
 
 from .ffd import ControlGrid, pull_back, weights
 from .mesh import STRUCTURES, MeshSequence, Topology, mean_curvature
-from .objectives import LossWeights, TargetClouds, total_loss
+from .objectives import LossWeights, total_loss
 from .optim import Adam
 
 
@@ -102,7 +102,7 @@ def fit_sequence(template, targets, cfg=None):
         return total_loss(x, topology, clouds, cfg.weights, template_curvatures)
 
     # Stage 1: global grids against the first frame.
-    frame1 = TargetClouds([targets.frames[0]])
+    frame1 = targets.frame(0)
     params = np.zeros(coarse.displacements.size + mid.displacements.size)
     split = coarse.displacements.size
     w_coarse = weights(coarse, p0)

@@ -9,6 +9,7 @@ crashing downstream.
 """
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -138,34 +139,24 @@ def load_volume(path):
     from .synth import VolumeGeometry
 
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid volume header ({exc})") from exc
-    for key in ("dims", "spacing", "origin", "dtype", "frames"):
-        if key not in header:
-            raise ValidationError(f"{path}: volume header missing {key!r}")
-    if header["dtype"] not in _VOLUME_DTYPES:
-        raise ValidationError(f"{path}: unknown dtype {header['dtype']!r}")
-    dims = tuple(int(d) for d in header["dims"])
-    n_frames = int(header["frames"])
-    dtype = np.dtype(_VOLUME_DTYPES[header["dtype"]])
-    expected = n_frames * dims[0] * dims[1] * dims[2] * dtype.itemsize
-    if len(payload) != expected:
-        raise ValidationError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    per_frame = dims[0] * dims[1] * dims[2] * dtype.itemsize
-    frames = np.stack(
-        [
-            np.frombuffer(payload[t * per_frame : (t + 1) * per_frame], dtype=dtype)
-            .reshape(dims[2], dims[1], dims[0])
-            .transpose(2, 1, 0)
-            for t in range(n_frames)
-        ]
-    )
+        try:
+            header = json.loads(fh.readline())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid volume header ({exc})") from exc
+        for key in ("dims", "spacing", "origin", "dtype", "frames"):
+            if key not in header:
+                raise ValidationError(f"{path}: volume header missing {key!r}")
+        if header["dtype"] not in _VOLUME_DTYPES:
+            raise ValidationError(f"{path}: unknown dtype {header['dtype']!r}")
+        dims = tuple(int(d) for d in header["dims"])
+        shape = (int(header["frames"]), dims[2], dims[1], dims[0])
+        dtype = np.dtype(_VOLUME_DTYPES[header["dtype"]])
+        expected = int(np.prod(shape)) * dtype.itemsize
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise ValidationError(f"{path}: payload is {size} bytes, expected {expected}")
+        voxels = np.fromfile(fh, dtype, count=int(np.prod(shape))).reshape(shape)
+    frames = np.ascontiguousarray(voxels.transpose(0, 3, 2, 1))
     geometry = VolumeGeometry(header["origin"], header["spacing"], dims)
     return frames, geometry
 
@@ -209,44 +200,37 @@ def save_views(path, views):
 def load_views(path):
     from .motion import SlicePlane, ViewSet
 
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid views header ({exc})") from exc
-    offset = 0
     sax = []
     la = {}
-    for meta in header.get("planes", []):
-        t, h, w = int(meta["frames"]), int(meta["height"]), int(meta["width"])
-        n = t * h * w
-        image = np.frombuffer(payload[offset : offset + 8 * n], dtype="<f8")
-        if image.size != n:
-            raise ValidationError(f"{path}: truncated image payload")
-        offset += 8 * n
-        image = image.reshape(t, h, w).copy()
-        label = None
-        if meta["has_label"]:
-            label = np.frombuffer(payload[offset : offset + 2 * n], dtype="<i2")
-            if label.size != n:
-                raise ValidationError(f"{path}: truncated label payload")
-            offset += 2 * n
-            label = label.reshape(t, h, w).copy()
-        plane = SlicePlane(
-            origin=meta["origin"],
-            axis_u=meta["axis_u"],
-            axis_v=meta["axis_v"],
-            pixel_spacing=meta["pixel_spacing"],
-            image=image,
-            label=label,
-            plane_id=meta["id"],
-        )
-        if meta["role"] == "sax":
-            sax.append(plane)
-        else:
-            la[meta["role"]] = plane
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid views header ({exc})") from exc
+        for meta in header.get("planes", []):
+            t, h, w = int(meta["frames"]), int(meta["height"]), int(meta["width"])
+            image = np.fromfile(fh, "<f8", count=t * h * w)
+            if image.size != t * h * w:
+                raise ValidationError(f"{path}: truncated image payload")
+            label = None
+            if meta["has_label"]:
+                label = np.fromfile(fh, "<i2", count=t * h * w)
+                if label.size != t * h * w:
+                    raise ValidationError(f"{path}: truncated label payload")
+                label = label.reshape(t, h, w)
+            plane = SlicePlane(
+                origin=meta["origin"],
+                axis_u=meta["axis_u"],
+                axis_v=meta["axis_v"],
+                pixel_spacing=meta["pixel_spacing"],
+                image=image.reshape(t, h, w),
+                label=label,
+                plane_id=meta["id"],
+            )
+            if meta["role"] == "sax":
+                sax.append(plane)
+            else:
+                la[meta["role"]] = plane
     if len(sax) < 3 or "la_2ch" not in la or "la_4ch" not in la:
         raise ValidationError(f"{path}: incomplete view set")
     return ViewSet(sax=sax, la_2ch=la["la_2ch"], la_4ch=la["la_4ch"])
@@ -277,24 +261,20 @@ def load_target_clouds(path):
     from .objectives import TargetClouds
 
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid target header ({exc})") from exc
-    offset = 0
-    frames = []
-    for counts in header["counts"]:
-        frame = {}
-        for s in header["structures"]:
-            n = int(counts[s])
-            pts = np.frombuffer(payload[offset : offset + 24 * n], dtype="<f8")
-            if pts.size != 3 * n:
-                raise ValidationError(f"{path}: truncated point payload")
-            offset += 24 * n
-            frame[s] = pts.reshape(n, 3).copy()
-        frames.append(frame)
+        try:
+            header = json.loads(fh.readline())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid target header ({exc})") from exc
+        frames = []
+        for counts in header["counts"]:
+            frame = {}
+            for s in header["structures"]:
+                n = int(counts[s])
+                pts = np.fromfile(fh, "<f8", count=3 * n)
+                if pts.size != 3 * n:
+                    raise ValidationError(f"{path}: truncated point payload")
+                frame[s] = pts.reshape(n, 3)
+            frames.append(frame)
     return TargetClouds(frames)
 
 
@@ -341,40 +321,35 @@ def load_model(path, template=None):
     """
     from .ssm import ShapeModel
 
-    with open(path, "rb") as fh:
-        raw = fh.read()
     head_size = struct.calcsize("<4sIQIIIIQd")
-    if len(raw) < head_size:
-        raise ValidationError(f"{path}: file too short for a model header")
-    magic, version, digest, t, n_vertices, m, k, n_seen, sq_dev = struct.unpack(
-        "<4sIQIIIIQd", raw[:head_size]
-    )
-    if magic != _HSSM_MAGIC:
-        raise ValidationError(f"{path}: bad magic {magic!r}, expected 'HSSM'")
-    if version != _HSSM_VERSION:
-        raise ValidationError(f"{path}: unsupported version {version}")
-    topology = None if template is None else Topology.from_chamber_set(template, t)
-    if topology is not None and topology.digest() != digest:
-        raise ValidationError(
-            f"{path}: topology digest mismatch; the model was trained on a "
-            "different template"
+    with open(path, "rb") as fh:
+        head = fh.read(head_size)
+        if len(head) < head_size:
+            raise ValidationError(f"{path}: file too short for a model header")
+        magic, version, digest, t, n_vertices, m, k, n_seen, sq_dev = struct.unpack(
+            "<4sIQIIIIQd", head
         )
-    dim = 3 * t * n_vertices
-    expected = head_size + 8 * (dim + k + k * dim)
-    if len(raw) != expected:
-        raise ValidationError(
-            f"{path}: model payload is {len(raw)} bytes, expected {expected}"
-        )
-    offset = head_size
-    mean = np.frombuffer(raw[offset : offset + 8 * dim], dtype="<f8").copy()
-    offset += 8 * dim
-    ev = np.frombuffer(raw[offset : offset + 8 * k], dtype="<f8").copy()
-    offset += 8 * k
-    comps = (
-        np.frombuffer(raw[offset : offset + 8 * k * dim], dtype="<f8")
-        .reshape(k, dim)
-        .copy()
-    )
+        if magic != _HSSM_MAGIC:
+            raise ValidationError(f"{path}: bad magic {magic!r}, expected 'HSSM'")
+        if version != _HSSM_VERSION:
+            raise ValidationError(f"{path}: unsupported version {version}")
+        topology = None if template is None else Topology.from_chamber_set(template, t)
+        if topology is not None and topology.digest() != digest:
+            raise ValidationError(
+                f"{path}: topology digest mismatch; the model was trained on a "
+                "different template"
+            )
+        dim = 3 * t * n_vertices
+        expected = head_size + 8 * (dim + k + k * dim)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValidationError(
+                f"{path}: model payload is {size} bytes, expected {expected}"
+            )
+        # read straight into the arrays: no whole-file buffer, no copies
+        mean = np.fromfile(fh, "<f8", count=dim)
+        ev = np.fromfile(fh, "<f8", count=k)
+        comps = np.fromfile(fh, "<f8", count=k * dim).reshape(k, dim)
     model = ShapeModel(n_components=m, topology=topology)
     model.mean = mean
     model.components = comps
@@ -400,22 +375,17 @@ def _write_grid_record(fh, grid):
     fh.write(np.ascontiguousarray(grid.displacements, dtype="<f8").tobytes())
 
 
-def _read_grid_record(raw, offset, path):
-    if offset + 12 + 48 > len(raw):
+def _read_grid_record(fh, path):
+    head = fh.read(60)
+    if len(head) < 60:
         raise ValidationError(f"{path}: truncated grid record")
-    dims = struct.unpack_from("<3I", raw, offset)
-    offset += 12
-    origin = np.frombuffer(raw[offset : offset + 24], dtype="<f8").copy()
-    offset += 24
-    spacing = np.frombuffer(raw[offset : offset + 24], dtype="<f8").copy()
-    offset += 24
+    dims = struct.unpack_from("<3I", head)
+    origin, spacing = np.array(struct.unpack_from("<6d", head, 12)).reshape(2, 3)
     n = dims[0] * dims[1] * dims[2] * 3
-    disp = np.frombuffer(raw[offset : offset + 8 * n], dtype="<f8")
+    disp = np.fromfile(fh, "<f8", count=n)
     if disp.size != n:
         raise ValidationError(f"{path}: truncated grid displacements")
-    offset += 8 * n
-    grid = ControlGrid(dims, origin, spacing, disp.reshape(dims + (3,)).copy())
-    return grid, offset
+    return ControlGrid(dims, origin, spacing, disp.reshape(dims + (3,)))
 
 
 def save_grids(path, grids):
@@ -427,18 +397,13 @@ def save_grids(path, grids):
 
 def load_grids(path):
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[:4] != _GRID_MAGIC:
-        raise ValidationError(f"{path}: not a grids file")
-    _, version, count = struct.unpack_from("<4sII", raw, 0)
-    if version != 1:
-        raise ValidationError(f"{path}: unsupported grids version {version}")
-    grids = []
-    offset = 12
-    for _ in range(count):
-        grid, offset = _read_grid_record(raw, offset, path)
-        grids.append(grid)
-    return grids
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != _GRID_MAGIC:
+            raise ValidationError(f"{path}: not a grids file")
+        _, version, count = struct.unpack("<4sII", head)
+        if version != 1:
+            raise ValidationError(f"{path}: unsupported grids version {version}")
+        return [_read_grid_record(fh, path) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def _blocked(coords, labels, spacing):
 class LabelledPoints:
     """Points carrying small non-negative int labels, and the matching of
     vertices against them (the symmetric nearest-neighbour distance of Besl
-    & McKay 1992), which subject and contour fitting share.
+    & McKay 1992) for subject fitting.
 
     Each label's rows are moved along x into their own block, so one KD-tree
     over all the points serves every label and no match crosses blocks.  The
@@ -133,6 +133,12 @@ class TargetClouds:
     @property
     def n_frames(self):
         return len(self.frames)
+
+    def frame(self, t):
+        """Frame ``t`` alone, sharing its pool (and so its KD-tree) with ``self``."""
+        one = object.__new__(TargetClouds)
+        one.frames, one.pooled = [self.frames[t]], [self.pooled[t]]
+        return one
 
     def structures(self):
         return tuple(self.frames[0].keys())

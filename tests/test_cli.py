@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from cardioshape import io as cio
+from cardioshape import ssm as cssm
 from cardioshape.cli import _to_model_space, main
-from cardioshape.mesh import MeshSequence, devectorize, vectorize
+from cardioshape.mesh import STRUCTURES, MeshSequence, devectorize, vectorize
+from cardioshape.objectives import TargetClouds
+from cardioshape.synth import plane_section
 
 from conftest import toy_chamber_set, toy_sequence
 
@@ -98,6 +101,38 @@ class TestSsmCommands:
         )
         assert rc == 0
         assert (tmp_path / "dec" / "meshes" / "manifest.json").exists()
+
+    def test_fit_contours_recovers_weights(self, tmp_path):
+        # a 5-mode model trained on 8 subjects, cut by 20 planes per frame
+        data = tmp_path / "synth"
+        argv = ["synth", "--subjects", "8", "--scale", "0.02", "--frames", "2"]
+        assert main(argv + ["--seed", "3", "--out", str(data)]) == 0
+        template = str(data / "template")
+        assert main(
+            ["ssm", "train", "--data", str(data), "--template", template,
+             "--components", "5", "--batch-size", "4", "--out", str(tmp_path / "model")]
+        ) == 0
+        model_path = str(tmp_path / "model" / "model.hssm")
+        model = cio.load_model(model_path, cio.load_chamber_set(template))
+        w_true = np.array([1.5, -1.2, 1.3, -1.6, 1.1]) * np.sqrt(model.explained_variance)
+        seq = devectorize(cssm.decode(model, w_true), model.topology)
+        planes = [((0.0, 0.0, z), (0.0, 0.0, 1.0)) for z in np.linspace(-40, 40, 9)]
+        planes += [((0.0, 0.0, 0.0), (np.sin(a), np.cos(a), 0.0)) for a in np.linspace(0, 3, 6)]
+        frames = [
+            {s: np.concatenate([plane_section(fr[s], o, n) for o, n in planes]) for s in STRUCTURES}
+            for fr in seq.frames
+        ]
+        cio.save_target_clouds(tmp_path / "contours.bin", TargetClouds(frames))
+        fit = ["ssm", "fit-contours", "--template", template, "--model", model_path,
+               "--contours", str(tmp_path / "contours.bin"), "--out", str(tmp_path / "fit")]
+        assert main(fit) == 0
+        _, w = cio.load_features_csv(tmp_path / "fit" / "descriptor.csv")
+        assert np.all(np.abs(w[0] - w_true) < 0.01 * np.abs(w_true))
+        # no ssm action takes a learning rate or an iteration count any more
+        for flag in (["--lr", "0.05"], ["--iterations", "10"]):
+            with pytest.raises(SystemExit) as exc:
+                main(fit + flag)
+            assert exc.value.code == 2
 
     def test_modes_subcommand(self, synth_dir, model_dir, tmp_path):
         rc = main(

@@ -1,9 +1,12 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cardioshape import io as cio
 from cardioshape import synth
-from cardioshape.mesh import vectorize
+from cardioshape.mesh import STRUCTURES, Topology, vectorize
 from cardioshape.objectives import TargetClouds
 from cardioshape.ffd import ControlGrid
 from cardioshape.ssm import ShapeModel, ipca_partial_fit
@@ -96,6 +99,16 @@ class TestViewsFile:
             assert np.array_equal(p0.label, p1.label)
             assert np.array_equal(p0.origin, p1.origin)
 
+    def test_truncated_payload_rejected(self, tmp_path):
+        meta = {"frames": 1, "height": 2, "width": 2, "has_label": True}
+        header = json.dumps({"planes": [meta]}).encode() + b"\n"
+        (tmp_path / "image.bin").write_bytes(header + bytes(8 * 3))
+        with pytest.raises(cio.ValidationError, match="truncated image"):
+            cio.load_views(tmp_path / "image.bin")
+        (tmp_path / "label.bin").write_bytes(header + bytes(8 * 4 + 2 * 3))
+        with pytest.raises(cio.ValidationError, match="truncated label"):
+            cio.load_views(tmp_path / "label.bin")
+
     def test_incomplete_set_rejected(self, tmp_path):
         (tmp_path / "v.bin").write_bytes(b'{"planes":[]}\n')
         with pytest.raises(cio.ValidationError, match="incomplete"):
@@ -111,6 +124,10 @@ class TestTargetClouds:
         for t in range(back.n_frames):
             for s in targets.structures():
                 assert np.array_equal(back.points(t, s), targets.points(t, s))
+        raw = (tmp_path / "t.bin").read_bytes()
+        (tmp_path / "cut.bin").write_bytes(raw[:-8])
+        with pytest.raises(cio.ValidationError, match="truncated point"):
+            cio.load_target_clouds(tmp_path / "cut.bin")
 
 
 class TestModelFile:
@@ -152,6 +169,46 @@ class TestModelFile:
             cio.load_model(tmp_path / "m.hssm", other)
 
 
+    def test_truncated_and_short_files_rejected(self, population, tmp_path):
+        vectors = np.stack([vectorize(s) for s in population.sequences])
+        topology = population.sequences[0].topology()
+        model = ShapeModel(n_components=2, topology=topology)
+        ipca_partial_fit(model, vectors)
+        cio.save_model(tmp_path / "m.hssm", model, topology)
+        raw = (tmp_path / "m.hssm").read_bytes()
+        (tmp_path / "cut.hssm").write_bytes(raw[:-8])
+        with pytest.raises(cio.ValidationError, match="payload"):
+            cio.load_model(tmp_path / "cut.hssm")
+        (tmp_path / "short.hssm").write_bytes(raw[:20])
+        with pytest.raises(cio.ValidationError, match="too short"):
+            cio.load_model(tmp_path / "short.hssm")
+
+    def test_load_peaks_near_file_size(self, tmp_path):
+        # 10 components over 8,335 vertices x 10 frames: a 20 MB file
+        topology = Topology(
+            {s: 1667 for s in STRUCTURES}, {s: np.zeros((1, 3), int) for s in STRUCTURES}, 10
+        )
+        rng = np.random.default_rng(0)
+        model = ShapeModel(n_components=10, topology=topology)
+        model.mean = rng.normal(size=topology.vector_length)
+        model.components = rng.normal(size=(10, topology.vector_length))
+        model.explained_variance = np.ones(10)
+        model.n_seen = 11
+        path = tmp_path / "big.hssm"
+        cio.save_model(path, model, topology)
+        size = path.stat().st_size
+        assert size >= 20e6
+        tracemalloc.start()
+        try:
+            back = cio.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * size
+        assert np.array_equal(back.components, model.components)
+        assert np.array_equal(back.mean, model.mean)
+
+
 class TestGridFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -169,7 +226,14 @@ class TestGridFile:
         assert len(back) == 3
         for g0, g1 in zip(grids, back):
             assert g0.dims == g1.dims
+            assert np.array_equal(g0.origin, g1.origin)
+            assert np.array_equal(g0.spacing, g1.spacing)
             assert np.array_equal(g0.displacements, g1.displacements)
+        raw = (tmp_path / "g.bin").read_bytes()
+        for cut in (8, len(raw) - 12 - 40):  # in the last displacements; in a record head
+            (tmp_path / "cut.bin").write_bytes(raw[:-cut])
+            with pytest.raises(cio.ValidationError, match="truncated grid"):
+                cio.load_grids(tmp_path / "cut.bin")
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "g.bin").write_bytes(b"NOPE" + b"\0" * 20)

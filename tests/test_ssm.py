@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from cardioshape import synth
@@ -15,6 +17,7 @@ from cardioshape.ssm import (
     ipca_partial_fit,
     sample_mode,
 )
+from cardioshape.ssm import _contour_rounds
 
 
 @pytest.fixture(scope="module")
@@ -179,39 +182,43 @@ class TestGeneralization:
         assert np.all(np.diff(per, axis=0) <= 1e-12)
 
 
+PLANES = [
+    (np.array([0.37, -0.61, z]), np.array([0.0, 0.0, 1.0])) for z in np.linspace(-46, 44, 10)
+] + [
+    (np.array([0.37, -0.61, 0.29]), np.array([np.sin(a), -np.cos(a), 0.0]))
+    for a in np.linspace(0.13, np.pi - 0.22, 10)
+]
+
+
+def plane_contours_of(model, w):
+    """The labelled contours of 20 plane cuts per frame of ``decode(model, w)``."""
+    seq = devectorize(decode(model, w), model.topology)
+    contours = []
+    for frame in seq.frames:
+        cuts = {}
+        for s in STRUCTURES:
+            pts = [synth.plane_section(frame[s], o, n) for o, n in PLANES]
+            pts = [p for p in pts if len(p)]
+            if pts:
+                cuts[s] = np.concatenate(pts)
+        contours.append(cuts)
+    return contours
+
+
 @pytest.fixture(scope="module")
 def plane_contours(trained_population):
     """Known weights and the labelled contours of 20 plane cuts per frame."""
     _, _, model = trained_population
-    topo = model.topology
-    ev = model.explained_variance
     w_true = np.zeros(model.n_active)
-    w_true[:4] = np.array([1.8, -1.5, 1.6, -1.4]) * np.sqrt(ev[:4])
-    seq = devectorize(decode(model, w_true), topo)
-    planes = [
-        (np.array([0.37, -0.61, z]), np.array([0.0, 0.0, 1.0]))
-        for z in np.linspace(-46, 44, 10)
-    ] + [
-        (np.array([0.37, -0.61, 0.29]), np.array([np.sin(a), -np.cos(a), 0.0]))
-        for a in np.linspace(0.13, np.pi - 0.22, 10)
-    ]
-    contours = []
-    for t in range(topo.n_frames):
-        frame = {}
-        for s in STRUCTURES:
-            pts = [synth.plane_section(seq.frames[t][s], o, n) for o, n in planes]
-            pts = [p for p in pts if len(p)]
-            if pts:
-                frame[s] = np.concatenate(pts)
-        contours.append(frame)
-    return w_true, contours
+    w_true[:4] = np.array([1.8, -1.5, 1.6, -1.4]) * np.sqrt(model.explained_variance[:4])
+    return w_true, plane_contours_of(model, w_true)
 
 
 class TestFitToContours:
     def test_recovery_from_contours(self, trained_population, plane_contours):
         _, _, model = trained_population
         w_true, contours = plane_contours
-        w_hat = fit_to_contours(model, contours, lr=0.05, iters=400)
+        w_hat = fit_to_contours(model, contours)
         rel = np.abs(w_hat[:4] - w_true[:4]) / np.abs(w_true[:4])
         assert rel.max() < 0.10
 
@@ -220,7 +227,7 @@ class TestFitToContours:
         _, _, model = trained_population
         w_true, contours = plane_contours
         unlabelled = [{None: np.concatenate(list(fr.values()))} for fr in contours]
-        w_hat = fit_to_contours(model, unlabelled, lr=0.05, iters=400)
+        w_hat = fit_to_contours(model, unlabelled)
         rel = np.abs(w_hat[:4] - w_true[:4]) / np.abs(w_true[:4])
         assert rel.max() < 0.10
 
@@ -232,9 +239,47 @@ class TestFitToContours:
             {s: mean_seq.frames[t][s].vertices[::3].copy() for s in STRUCTURES}
             for t in range(topo.n_frames)
         ]
-        w = fit_to_contours(model, contours, lr=0.05, iters=300)
+        w = fit_to_contours(model, contours)
         sd = np.sqrt(np.maximum(model.explained_variance, 1e-30))
         assert np.all(np.abs(w) < 0.1 * sd + 1e-9)
+
+    def test_unlabelled_entry_beside_labelled_ones(self, trained_population, plane_contours):
+        # one structure's points unlabelled in every frame, the rest labelled
+        _, _, model = trained_population
+        w_true, contours = plane_contours
+        mixed = [
+            {(None if s == "LV-endo" else s): p for s, p in fr.items()} for fr in contours
+        ]
+        assert all(None in fr and len(fr) > 1 for fr in mixed)
+        w_hat = fit_to_contours(model, mixed)
+        rel = np.abs(w_hat[:4] - w_true[:4]) / np.abs(w_true[:4])
+        assert rel.max() < 1e-3
+
+    def test_converged_weights_are_a_fixed_point(self, trained_population, plane_contours):
+        # rounds until z stops moving; a fresh match and solve from there
+        # returns the same weights
+        _, _, model = trained_population
+        _, contours = plane_contours
+        z = np.zeros(model.n_active)
+        for _, z_next in zip(range(100), _contour_rounds(model, contours, z)):
+            step, z = np.abs(z_next - z).max(), z_next
+            if step < 1e-10:
+                break
+        assert step < 1e-10
+        again = next(_contour_rounds(model, contours, z))
+        assert np.abs(again - z).max() < 1e-8
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+    def test_noise_free_sections_give_weights_back(self, trained_population, z_top):
+        _, _, model = trained_population
+        sd = np.sqrt(model.explained_variance)
+        w_true = np.zeros(model.n_active)
+        w_true[:4] = np.array(z_top) * sd[:4]
+        w_hat = fit_to_contours(model, plane_contours_of(model, w_true))
+        err = np.abs(w_hat[:4] - w_true[:4])
+        # relative to the weight, or to its mode's sd for weights near zero
+        assert np.all(err <= 1e-3 * np.maximum(np.abs(w_true[:4]), sd[:4]))
 
     def test_empty_contours_rejected(self, trained_population):
         _, _, model = trained_population
