@@ -5,9 +5,16 @@ objective sums absolute intensity differences along every pair of
 plane-plane intersection lines plus a through-stack Laplacian smoothness
 term over the short-axis slices, and is minimised with Adam over all
 displacements jointly.
+
+Inside the objective and the Adam loop the displacements are one (P, 2)
+array in mm, rows in ``ViewSet.planes()`` order; the planes are set to the
+best iterate once, at the end.  One broadcasting sampler (``_bilinear``)
+serves the intersection lines (``ViewSet.pairs``, built once per view set)
+and the whole short-axis slices, each shifted by one sub-pixel offset.
 """
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +54,7 @@ class SlicePlane:
         self.pixel_spacing = (float(pixel_spacing[0]), float(pixel_spacing[1]))
         if min(self.pixel_spacing) <= 0:
             raise ValueError("pixel_spacing must be positive")
-        self.image = np.asarray(image, dtype=np.float64)
+        self.image = np.ascontiguousarray(image, dtype=np.float64)
         if self.image.ndim != 3:
             raise ValueError("image must have shape (T, H, W)")
         self.label = None if label is None else np.asarray(label)
@@ -81,47 +88,43 @@ class SlicePlane:
 
 
 def _bilinear(image, px, py):
-    """Border-clamped bilinear sample of (T, H, W) at pixel coords (N,).
+    """Border-clamped bilinear sample of (T, H, W) at pixel coords px, py.
 
-    Returns values (T, N) and in-plane derivatives (T, N, 2).  The sampled
-    function is constant beyond the border, so the derivative is zeroed for
-    clamped coordinates.
+    ``px`` and ``py`` broadcast against each other: two (N,) arrays sample N
+    points, and (W,) with (H, 1) samples a whole (H, W) grid.  Returns the
+    values and the x and y derivatives, each of shape (T,) + the broadcast
+    shape.  The sampled function is constant beyond the border, so the
+    derivative along a clamped coordinate is zero.
     """
-    n_frames, h, w = image.shape
+    _, h, w = image.shape
     cx = np.clip(px, 0.0, w - 1.0)
     cy = np.clip(py, 0.0, h - 1.0)
-    outside_x = cx != px
-    outside_y = cy != py
-    x0 = np.minimum(np.floor(cx).astype(np.int64), w - 2) if w > 1 else np.zeros(
-        len(cx), dtype=np.int64
-    )
-    y0 = np.minimum(np.floor(cy).astype(np.int64), h - 2) if h > 1 else np.zeros(
-        len(cy), dtype=np.int64
-    )
+    x0 = np.minimum(np.floor(cx).astype(np.int64), max(w - 2, 0))
+    y0 = np.minimum(np.floor(cy).astype(np.int64), max(h - 2, 0))
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
     fx = cx - x0
     fy = cy - y0
-    i00 = image[:, y0, x0]
-    i01 = image[:, y0, np.minimum(x0 + 1, w - 1)]
-    i10 = image[:, np.minimum(y0 + 1, h - 1), x0]
-    i11 = image[:, np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)]
-    vals = (
-        i00 * (1 - fx) * (1 - fy)
-        + i01 * fx * (1 - fy)
-        + i10 * (1 - fx) * fy
-        + i11 * fx * fy
+    gx = 1 - fx
+    gy = 1 - fy
+    # weights and masks meet the (T, ...) taps only after their own product
+    mx = cx == px
+    my = cy == py
+    flat = image.reshape(len(image), -1)
+    i00, i01, i10, i11 = (
+        np.take(flat, y * w + x, axis=1)
+        for y, x in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))
     )
-    dx = (i01 - i00) * (1 - fy) + (i11 - i10) * fy
-    dy = (i10 - i00) * (1 - fx) + (i11 - i01) * fx
-    dx[:, outside_x] = 0.0
-    dy[:, outside_y] = 0.0
-    return vals, np.stack([dx, dy], axis=-1)
+    vals = i00 * (gx * gy) + i01 * (fx * gy) + i10 * (gx * fy) + i11 * (fx * fy)
+    dx = (i01 - i00) * (mx * gy) + (i11 - i10) * (mx * fy)
+    dy = (i10 - i00) * (my * gx) + (i11 - i01) * (my * fx)
+    return vals, dx, dy
 
 
 def bilinear_sample(plane, point3d, t):
     """Motion-corrected intensity at a 3-D point on a plane (border-clamped)."""
     pix = plane.displaced_pixels(plane.world_to_pixels(point3d))
-    vals, _ = _bilinear(plane.image[t : t + 1], pix[:, 0], pix[:, 1])
-    out = vals[0]
+    out = _bilinear(plane.image[t : t + 1], pix[:, 0], pix[:, 1])[0][0]
     return float(out[0]) if np.ndim(point3d) == 1 else out
 
 
@@ -134,7 +137,11 @@ def _sample_nearest_label(plane, pix):
 
 
 class ViewSet:
-    """A short-axis stack plus two long-axis planes."""
+    """A short-axis stack plus two long-axis planes.
+
+    All planes share one frame count, and all short-axis slices one
+    (H, W): the through-stack term compares them pixel by pixel.
+    """
 
     def __init__(self, sax, la_2ch, la_4ch):
         if len(sax) < 3:
@@ -144,9 +151,18 @@ class ViewSet:
         for p in sax:
             if np.linalg.norm(np.cross(p.normal, normal)) > 1e-9:
                 raise ValueError("short-axis slices must be parallel")
+            if p.shape != sax[0].shape:
+                raise ValueError(
+                    f"short-axis slice {p.plane_id} is {p.shape}, not {sax[0].shape}"
+                )
             positions.append(p.origin @ normal)
         if not np.all(np.diff(positions) > 0):
             raise ValueError("short-axis slices must be ordered along the normal")
+        for p in [*sax, la_2ch, la_4ch]:
+            if p.n_frames != sax[0].n_frames:
+                raise ValueError(
+                    f"plane {p.plane_id} has {p.n_frames} frames, not {sax[0].n_frames}"
+                )
         self.sax = list(sax)
         self.la_2ch = la_2ch
         self.la_4ch = la_4ch
@@ -157,6 +173,27 @@ class ViewSet:
     @property
     def n_frames(self):
         return self.sax[0].n_frames
+
+    @cached_property
+    def pairs(self):
+        """(index a, index b, undisplaced pixels (N, 2) on a, on b) for every
+        intersecting long/long and short/long pair, indices into ``planes()``.
+        Built once: a plane's geometry does not change, only its displacement."""
+        planes = self.planes()
+        n = len(self.sax)
+        index_pairs = [(n, n + 1)] + [(d, n + k) for d in range(n) for k in (0, 1)]
+        out = []
+        for i, j in index_pairs:
+            a, b = planes[i], planes[j]
+            pts = intersection_samples(a, b)
+            if len(pts) == 0:
+                warnings.warn(
+                    f"empty intersection between {a.plane_id} and {b.plane_id}; "
+                    "term contributes 0"
+                )
+                continue
+            out.append((i, j, a.world_to_pixels(pts), b.world_to_pixels(pts)))
+        return out
 
 
 def intersection_samples(a, b):
@@ -204,91 +241,60 @@ def intersection_samples(a, b):
     return q0 + s[:, None] * direction
 
 
-def _view_pairs(views):
-    pairs = [(views.la_2ch, views.la_4ch)]
-    for p in views.sax:
-        pairs.append((p, views.la_2ch))
-        pairs.append((p, views.la_4ch))
-    return pairs
+def _sign_dots(sign, dx, dy):
+    return np.array([np.vdot(sign, dx), np.vdot(sign, dy)])
 
 
-class _Workspace:
-    """Precomputed sample coordinates so repeated objective evaluations only
-    redo interpolation."""
-
-    def __init__(self, views):
-        self.pairs = []
-        for a, b in _view_pairs(views):
-            pts = intersection_samples(a, b)
-            if len(pts) == 0:
-                warnings.warn(
-                    f"empty intersection between {a.plane_id} and {b.plane_id}; "
-                    "term contributes 0"
-                )
-                continue
-            self.pairs.append((a, b, a.world_to_pixels(pts), b.world_to_pixels(pts)))
-        self.grids = {}
-        for p in views.sax:
-            h, w = p.shape
-            gx, gy = np.meshgrid(np.arange(w), np.arange(h))
-            self.grids[p.plane_id] = np.column_stack(
-                [gx.ravel().astype(np.float64), gy.ravel().astype(np.float64)]
-            )
-
-
-def _pair_term(a, b, pix_a, pix_b):
-    """Sum of |Ia - Ib| over samples and frames plus displacement gradients."""
-    dpa = a.displaced_pixels(pix_a)
-    dpb = b.displaced_pixels(pix_b)
-    va, ga = _bilinear(a.image, dpa[:, 0], dpa[:, 1])
-    vb, gb = _bilinear(b.image, dpb[:, 0], dpb[:, 1])
+def _pair_term(image_a, image_b, pix_a, pix_b):
+    """Sum of |Ia - Ib| over samples and frames at displaced pixel coords
+    (N, 2), and its gradients (2,) with respect to each side's pixel shift."""
+    va, ax, ay = _bilinear(image_a, pix_a[:, 0], pix_a[:, 1])
+    vb, bx, by = _bilinear(image_b, pix_b[:, 0], pix_b[:, 1])
     diff = va - vb
     sign = np.sign(diff)
-    value = np.abs(diff).sum()
-    grad_a = np.einsum("tn,tnk->k", sign, ga) / np.array(a.pixel_spacing)
-    grad_b = -np.einsum("tn,tnk->k", sign, gb) / np.array(b.pixel_spacing)
-    return value, grad_a, grad_b
+    return np.abs(diff).sum(), _sign_dots(sign, ax, ay), -_sign_dots(sign, bx, by)
 
 
-def mc_objective(views, workspace=None):
+def mc_objective(views, displacements=None):
     """Multi-view alignment objective and its displacement gradients.
 
     Value: frame-averaged sum of absolute intensity differences along the
     long-axis/long-axis and short-axis/long-axis intersections, plus half the
     absolute through-stack second difference of the short-axis slices over
-    all pixels.  Gradients use bilinear derivatives with the sign subgradient
-    of the absolute value (zero at ties).
+    all pixels.  ``displacements`` is a (P, 2) array in mm, one row per plane
+    in ``views.planes()`` order; it defaults to the planes' own.  Returns the
+    value and the (P, 2) gradient in the same order.  Gradients use bilinear
+    derivatives with the sign subgradient of the absolute value (zero at
+    ties).
     """
-    ws = workspace or _Workspace(views)
-    n_frames = views.n_frames
-    grads = {p.plane_id: np.zeros(2) for p in views.planes()}
+    planes = views.planes()
+    if displacements is None:
+        displacements = [p.displacement for p in planes]
+    spacing = np.array([p.pixel_spacing for p in planes])
+    shift = np.asarray(displacements, dtype=np.float64) / spacing
+    grad = np.zeros_like(shift)
     total = 0.0
-    for a, b, pix_a, pix_b in ws.pairs:
-        value, ga, gb = _pair_term(a, b, pix_a, pix_b)
+    for i, j, pix_a, pix_b in views.pairs:
+        value, ga, gb = _pair_term(
+            planes[i].image, planes[j].image, pix_a + shift[i], pix_b + shift[j]
+        )
         total += value
-        grads[a.plane_id] += ga
-        grads[b.plane_id] += gb
-    sax = views.sax
-    sampled = {}
-    for d in range(1, len(sax) - 1):
-        for p in (sax[d - 1], sax[d], sax[d + 1]):
-            if p.plane_id not in sampled:
-                pix = p.displaced_pixels(ws.grids[p.plane_id])
-                sampled[p.plane_id] = _bilinear(p.image, pix[:, 0], pix[:, 1])
-        vm, gm = sampled[sax[d - 1].plane_id]
-        vc, gc = sampled[sax[d].plane_id]
-        vp, gp = sampled[sax[d + 1].plane_id]
-        second = vm + vp - 2.0 * vc
+        grad[i] += ga
+        grad[j] += gb
+    sampled = []
+    for d, p in enumerate(views.sax):
+        h, w = p.shape
+        xs = np.arange(w) + shift[d, 0]
+        ys = np.arange(h)[:, None] + shift[d, 1]
+        sampled.append(_bilinear(p.image, xs, ys))
+    for d in range(1, len(sampled) - 1):
+        second = sampled[d - 1][0] + sampled[d + 1][0] - 2.0 * sampled[d][0]
         sign = np.sign(second)
         total += 0.5 * np.abs(second).sum()
-        sp = np.array(sax[d].pixel_spacing)
-        grads[sax[d - 1].plane_id] += 0.5 * np.einsum("tn,tnk->k", sign, gm) / sp
-        grads[sax[d + 1].plane_id] += 0.5 * np.einsum("tn,tnk->k", sign, gp) / sp
-        grads[sax[d].plane_id] += -1.0 * np.einsum("tn,tnk->k", sign, gc) / sp
-    total /= n_frames
-    for k in grads:
-        grads[k] /= n_frames
-    return total, grads
+        for k, weight in ((d - 1, 0.5), (d, -1.0), (d + 1, 0.5)):
+            grad[k] += weight * _sign_dots(sign, sampled[k][1], sampled[k][2])
+    # chain rule through shift = displacement / spacing, per plane
+    return total / views.n_frames, grad / spacing / views.n_frames
 
 
 def mc_optimize(views, lr=0.1, epochs=1000):
@@ -297,17 +303,13 @@ def mc_optimize(views, lr=0.1, epochs=1000):
     Returns the best-so-far displacements per plane id and the objective
     trace.  The planes' displacement attributes are set to the best values.
     """
-    ws = _Workspace(views)
     planes = views.planes()
-    order = [p.plane_id for p in planes]
     params = np.concatenate([p.displacement for p in planes])
     adam = Adam(lr=lr)
     best = (np.inf, params.copy())
     trace = np.empty(epochs)
     for epoch in range(epochs):
-        for i, p in enumerate(planes):
-            p.displacement = params[2 * i : 2 * i + 2]
-        value, grads = mc_objective(views, ws)
+        value, grad = mc_objective(views, params.reshape(-1, 2))
         if not np.isfinite(value):
             raise RuntimeError(
                 f"motion-correction objective became non-finite at epoch {epoch}"
@@ -315,11 +317,11 @@ def mc_optimize(views, lr=0.1, epochs=1000):
         trace[epoch] = value
         if value < best[0]:
             best = (value, params.copy())
-        grad_vec = np.concatenate([grads[pid] for pid in order])
-        params = adam.step(params, grad_vec)
-    for i, p in enumerate(planes):
-        p.displacement = best[1][2 * i : 2 * i + 2].copy()
-    return {pid: best[1][2 * i : 2 * i + 2].copy() for i, pid in enumerate(order)}, trace
+        params = adam.step(params, grad.ravel())
+    kept = best[1].reshape(-1, 2)
+    for p, d in zip(planes, kept):
+        p.displacement = d.copy()
+    return {p.plane_id: d.copy() for p, d in zip(planes, kept)}, trace
 
 
 def eval_intersections(views):
@@ -329,21 +331,16 @@ def eval_intersections(views):
     nearest-neighbour labels when every plane carries labels (omitted
     otherwise).
     """
+    planes = views.planes()
     ints_a, ints_b = [], []
     labs_a, labs_b = [], []
-    have_labels = all(p.label is not None for p in views.planes())
-    for a, b in _view_pairs(views):
-        pts = intersection_samples(a, b)
-        if len(pts) == 0:
-            continue
-        pix_a = a.world_to_pixels(pts)
-        pix_b = b.world_to_pixels(pts)
+    have_labels = all(p.label is not None for p in planes)
+    for i, j, pix_a, pix_b in views.pairs:
+        a, b = planes[i], planes[j]
         dpa = a.displaced_pixels(pix_a)
         dpb = b.displaced_pixels(pix_b)
-        va, _ = _bilinear(a.image, dpa[:, 0], dpa[:, 1])
-        vb, _ = _bilinear(b.image, dpb[:, 0], dpb[:, 1])
-        ints_a.append(va.ravel())
-        ints_b.append(vb.ravel())
+        ints_a.append(_bilinear(a.image, dpa[:, 0], dpa[:, 1])[0].ravel())
+        ints_b.append(_bilinear(b.image, dpb[:, 0], dpb[:, 1])[0].ravel())
         if have_labels:
             labs_a.append(_sample_nearest_label(a, pix_a).ravel())
             labs_b.append(_sample_nearest_label(b, pix_b).ravel())

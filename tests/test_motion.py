@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardioshape import synth
 from cardioshape.motion import (
     SlicePlane,
     ViewSet,
+    _bilinear,
     _label_dice,
     _pair_term,
     bilinear_sample,
@@ -25,6 +28,31 @@ def make_plane(origin, axis_u, axis_v, image, spacing=(1.0, 1.0), label=None, pi
         label=label,
         plane_id=pid,
     )
+
+
+def mixed_spacing_views():
+    """4 short-axis slices of 24 x 24 pixels at 1.0, 1.6, 1.0 and 1.3 mm plus
+    two long-axis planes, all cut from one smooth two-frame intensity field."""
+    waves = np.array([[0.31, 0.17, 0.23], [-0.12, 0.27, 0.19], [0.21, -0.25, 0.14]])
+    x, y, z = np.eye(3)
+
+    def plane(origin, axis_u, axis_v, spacing, pid):
+        rows, cols = np.mgrid[0:24, 0:24]
+        world = (
+            np.asarray(origin, dtype=float)
+            + cols[..., None] * spacing * axis_u
+            + rows[..., None] * spacing * axis_v
+        )
+        image = np.array([np.sin(world @ waves.T + t).sum(-1) for t in (0.0, 0.7)])
+        return make_plane(origin, axis_u, axis_v, image, (spacing, spacing), pid=pid)
+
+    sax = [
+        plane([-11.5 * s, -11.5 * s, height], x, y, s, f"s{d}")
+        for d, (height, s) in enumerate(zip((-3, -1, 1, 3), (1.0, 1.6, 1.0, 1.3)))
+    ]
+    la_2ch = plane([-11.5, 0, -11.5], x, z, 1.0, "la_2ch")
+    la_4ch = plane([0, -11.5, -11.5], y, z, 1.0, "la_4ch")
+    return ViewSet(sax, la_2ch, la_4ch)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +138,39 @@ class TestBilinear:
         assert abs(bilinear_sample(plane, np.array([0.0, 0.0, 0.0]), 0) - 1.0) < 1e-12
 
 
+class TestBilinearProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+    )
+    def test_integer_coordinates_return_stored_pixels(self, seed, shape):
+        image = np.random.default_rng(seed).normal(size=shape)
+        _, h, w = shape
+        rows, cols = np.mgrid[0:h, 0:w].astype(float)
+        vals, _, _ = _bilinear(image, cols.ravel(), rows.ravel())
+        assert np.array_equal(vals, image.reshape(shape[0], -1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+        # a shift of 2.5 sizes puts the whole slice up to 1.5 sizes past a border
+        shift=st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+    )
+    def test_whole_slice_equals_per_point(self, seed, shape, shift):
+        image = np.random.default_rng(seed).normal(size=shape)
+        n_frames, h, w = shape
+        xs = np.arange(w) + shift[0] * w
+        ys = np.arange(h)[:, None] + shift[1] * h
+        grid = _bilinear(image, xs, ys)
+        gx, gy = np.broadcast_arrays(xs, ys)
+        points = _bilinear(image, gx.ravel(), gy.ravel())
+        for whole, flat in zip(grid, points):
+            assert whole.shape == (n_frames, h, w)
+            assert np.array_equal(whole, flat.reshape(n_frames, h, w))
+
+
 class TestObjective:
     def test_constant_images_zero(self):
         img = np.full((2, 8, 8), 3.0)
@@ -139,18 +200,23 @@ class TestObjective:
             for p in views.planes():
                 p.displacement = np.zeros(2)
 
-    def test_gradient_matches_fd(self, synthetic_views):
-        intensity, labels, geom, specs = synthetic_views
-        rng = np.random.Generator(np.random.Philox(7))
-        views, _ = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
+    @pytest.mark.parametrize("mixed", [False, True], ids=["synth", "mixed_spacing"])
+    def test_gradient_matches_fd(self, synthetic_views, mixed):
+        if mixed:
+            views = mixed_spacing_views()
+        else:
+            intensity, labels, geom, specs = synthetic_views
+            rng = np.random.Generator(np.random.Philox(7))
+            views, _ = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
         # irrational offsets keep samples away from |.| kinks and pixel knots
         rng2 = np.random.default_rng(3)
         for p in views.planes():
             p.displacement = rng2.normal(0, 1.0, 2) + 0.2345
         value, grads = mc_objective(views)
+        assert grads.shape == (len(views.planes()), 2)
         worst = 0.0
         n_clean = 0
-        gmax = max(np.abs(g).max() for g in grads.values())
+        gmax = np.abs(grads).max()
 
         def fd_at(p, axis, h):
             p.displacement[axis] += h
@@ -160,7 +226,7 @@ class TestObjective:
             p.displacement[axis] += h
             return (vp - vm) / (2 * h)
 
-        for p in views.planes():
+        for k, p in enumerate(views.planes()):
             for axis in range(2):
                 fd1 = fd_at(p, axis, 1e-5)
                 fd2 = fd_at(p, axis, 5e-6)
@@ -170,7 +236,7 @@ class TestObjective:
                 # disagree; the comparison is specified away from kinks
                 if abs(fd1 - fd2) > 1e-5 * abs(fd1):
                     continue
-                worst = max(worst, abs(grads[p.plane_id][axis] - fd1) / abs(fd1))
+                worst = max(worst, abs(grads[k, axis] - fd1) / abs(fd1))
                 n_clean += 1
         assert n_clean >= 8
         assert worst < 1e-4
@@ -201,10 +267,12 @@ class TestObjective:
         pts = intersection_samples(a, b)
         pix_a = a.world_to_pixels(pts)
         pix_b = b.world_to_pixels(pts)
-        base, _, _ = _pair_term(a, b, pix_a, pix_b)
+        base, _, _ = _pair_term(a.image, b.image, pix_a, pix_b)
         a.displacement = np.array([0.0, 1.3])  # v axis is z for both planes
         b.displacement = np.array([0.0, 1.3])
-        shifted, _, _ = _pair_term(a, b, pix_a, pix_b)
+        shifted, _, _ = _pair_term(
+            a.image, b.image, a.displaced_pixels(pix_a), b.displaced_pixels(pix_b)
+        )
         assert abs(shifted - base) < 1e-12
 
 
@@ -318,6 +386,28 @@ class TestViewSetValidation:
         la1 = make_plane([0, 0, 0], [0, 1, 0], [0, 0, 1], img)
         la2 = make_plane([0, 0, 0], [1, 0, 0], [0, 0, 1], img)
         with pytest.raises(ValueError, match="parallel"):
+            ViewSet(sax, la1, la2)
+
+    def test_frame_counts_must_match(self):
+        img = np.zeros((2, 4, 4))
+        sax = [
+            make_plane([0, 0, z], [1, 0, 0], [0, 1, 0], img, pid=f"s{z}")
+            for z in (0, 1, 2)
+        ]
+        la1 = make_plane([0, 0, 0], [0, 1, 0], [0, 0, 1], img, pid="la1")
+        la2 = make_plane([0, 0, 0], [1, 0, 0], [0, 0, 1], img[:1], pid="la2")
+        with pytest.raises(ValueError, match="plane la2 has 1 frames"):
+            ViewSet(sax, la1, la2)
+
+    def test_sax_shapes_must_match(self):
+        img = np.zeros((1, 4, 4))
+        sax = [
+            make_plane([0, 0, z], [1, 0, 0], [0, 1, 0], img[:, : 4 - h], pid=f"s{z}")
+            for z, h in ((0, 0), (1, 1), (2, 0))  # s1 is 3 x 4
+        ]
+        la1 = make_plane([0, 0, 0], [0, 1, 0], [0, 0, 1], img, pid="la1")
+        la2 = make_plane([0, 0, 0], [1, 0, 0], [0, 0, 1], img, pid="la2")
+        with pytest.raises(ValueError, match=r"slice s1 is \(3, 4\)"):
             ViewSet(sax, la1, la2)
 
     def test_nonunit_axis_rejected(self):
