@@ -330,71 +330,78 @@ class VolumeGeometry:
 _RAY_JITTER = (1.04e-6, 2.17e-6)
 
 
-def _column_crossings(verts_idx, faces, dims):
-    """Ray-parity crossings along +x for every (j, k) column, index space."""
-    cols = {}
-    v = verts_idx
-    for a, b, c in faces:
-        tri = v[[a, b, c]]
-        y = tri[:, 1] - _RAY_JITTER[0]
-        z = tri[:, 2] - _RAY_JITTER[1]
-        det = (y[1] - y[0]) * (z[2] - z[0]) - (y[2] - y[0]) * (z[1] - z[0])
-        if abs(det) < 1e-14:
-            continue
-        j0 = max(0, int(np.ceil(y.min())))
-        j1 = min(dims[1] - 1, int(np.floor(y.max())))
-        k0 = max(0, int(np.ceil(z.min())))
-        k1 = min(dims[2] - 1, int(np.floor(z.max())))
-        if j0 > j1 or k0 > k1:
-            continue
-        jj, kk = np.meshgrid(
-            np.arange(j0, j1 + 1), np.arange(k0, k1 + 1), indexing="ij"
-        )
-        py = jj.ravel() - y[0]
-        pz = kk.ravel() - z[0]
-        u = ((z[2] - z[0]) * py - (y[2] - y[0]) * pz) / det
-        w = (-(z[1] - z[0]) * py + (y[1] - y[0]) * pz) / det
-        inside = (u >= 0) & (w >= 0) & (u + w <= 1)
-        if not inside.any():
-            continue
-        xs = tri[0, 0] + u[inside] * (tri[1, 0] - tri[0, 0]) + w[inside] * (
-            tri[2, 0] - tri[0, 0]
-        )
-        for j, k, x in zip(jj.ravel()[inside], kk.ravel()[inside], xs):
-            cols.setdefault((int(j), int(k)), []).append(float(x))
-    return cols
-
-
 def _inside_mask(mesh, geometry):
+    """Boolean mask of the voxel centres inside a closed mesh (see voxelize)."""
     lo, hi = geometry.world_bounds()
-    if np.any(mesh.vertices.min(axis=0) < lo) or np.any(
-        mesh.vertices.max(axis=0) > hi
-    ):
+    v = mesh.vertices
+    past = np.stack([lo - v.min(axis=0), v.max(axis=0) - hi])
+    if past.max() > 0:
+        side, axis = np.unravel_index(np.argmax(past), past.shape)
         raise ValueError(
-            f"mesh {mesh.structure_id} extends outside the volume bounds"
+            f"mesh {mesh.structure_id} extends outside the volume bounds: it "
+            f"reaches {past[side, axis]:.3g} mm past the "
+            f"{('lower', 'upper')[side]} {'xyz'[axis]} bound"
         )
-    verts_idx = (mesh.vertices - geometry.origin) / geometry.spacing
-    cols = _column_crossings(verts_idx, mesh.faces, geometry.dims)
-    mask = np.zeros(geometry.dims, dtype=bool)
-    nx = geometry.dims[0]
-    for (j, k), xs in cols.items():
-        xs = np.sort(xs)
-        if len(xs) % 2 != 0:
-            continue
-        for lo_x, hi_x in zip(xs[0::2], xs[1::2]):
-            i0 = max(0, int(np.ceil(lo_x)))
-            i1 = min(nx - 1, int(np.floor(hi_x)))
-            if i0 <= i1:
-                mask[i0 : i1 + 1, j, k] = True
-    return mask
+    nx, ny, nz = geometry.dims
+    tri = ((v - geometry.origin) / geometry.spacing)[mesh.faces]
+    x = tri[:, :, 0]
+    y = tri[:, :, 1] - _RAY_JITTER[0]
+    z = tri[:, :, 2] - _RAY_JITTER[1]
+    det = (y[:, 1] - y[:, 0]) * (z[:, 2] - z[:, 0]) - (y[:, 2] - y[:, 0]) * (
+        z[:, 1] - z[:, 0]
+    )
+    j0 = np.maximum(0, np.ceil(y.min(axis=1))).astype(np.int64)
+    j1 = np.minimum(ny - 1, np.floor(y.max(axis=1))).astype(np.int64)
+    k0 = np.maximum(0, np.ceil(z.min(axis=1))).astype(np.int64)
+    k1 = np.minimum(nz - 1, np.floor(z.max(axis=1))).astype(np.int64)
+    keep = np.flatnonzero((np.abs(det) >= 1e-14) & (j0 <= j1) & (k0 <= k1))
+    nk = k1[keep] - k0[keep] + 1
+    size = (j1[keep] - j0[keep] + 1) * nk
+    # One candidate per (face, column in its box), j-major as a meshgrid.
+    f = np.repeat(keep, size)
+    local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    nk = np.repeat(nk, size)
+    jj = j0[f] + local // nk
+    kk = k0[f] + local % nk
+    py = jj - y[f, 0]
+    pz = kk - z[f, 0]
+    u = ((z[f, 2] - z[f, 0]) * py - (y[f, 2] - y[f, 0]) * pz) / det[f]
+    w = (-(z[f, 1] - z[f, 0]) * py + (y[f, 1] - y[f, 0]) * pz) / det[f]
+    inside = (u >= 0) & (w >= 0) & (u + w <= 1)
+    f = f[inside]
+    xs = x[f, 0] + u[inside] * (x[f, 1] - x[f, 0]) + w[inside] * (x[f, 2] - x[f, 0])
+    col = jj[inside] * nz + kk[inside]
+    order = np.lexsort((xs, col))
+    col, xs = col[order], xs[order]
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    counts = np.diff(starts, append=len(col))
+    even = np.repeat(counts % 2 == 0, counts)
+    # Every column left has an even count, so crossings pair globally.
+    col, xs = col[even][0::2], xs[even]
+    i0 = np.maximum(0, np.ceil(xs[0::2])).astype(np.int64)
+    i1 = np.minimum(nx - 1, np.floor(xs[1::2])).astype(np.int64)
+    run = i0 <= i1
+    diff = np.zeros((nx + 1, ny * nz), dtype=np.int8)
+    np.add.at(diff, (i0[run], col[run]), 1)
+    np.add.at(diff, (i1[run] + 1, col[run]), -1)
+    # Runs of one column overlap only where crossings coincide: counts stay small.
+    return diff[:nx].cumsum(axis=0, dtype=np.int8).reshape(nx, ny, nz) > 0
 
 
 def voxelize(chambers, geometry):
     """Label volume of a ChamberSet on a voxel grid.
 
-    Voxel centres are tested for containment by ray parity.  Precedence:
-    LV-endo wins inside LV-epi (the epi-minus-endo shell is the myocardium
-    label), then RV, LA, RA; background is 0.
+    Voxel centres are tested for containment by ray parity along +x, in
+    voxel-index space and for all faces of a mesh at once.  Each (j, k)
+    column's ray gets one crossing, at the face's x, from every face whose
+    (y, z) projection holds it; the lattice is jittered by about 1e-6 voxel
+    so that rays miss projected vertices and edges.  Columns with an odd
+    count (an open mesh, or a ray that grazes an edge anyway) are dropped.
+    The sorted crossings of the others pair into inside runs along x, filled
+    through a +1/-1 difference array and a cumulative sum.
+
+    Precedence: LV-endo wins inside LV-epi (the epi-minus-endo shell is the
+    myocardium label), then RV, LA, RA; background is 0.
     """
     labels = np.zeros(geometry.dims, dtype=np.int16)
     # Paint in reverse precedence so higher-priority structures overwrite.
@@ -504,39 +511,16 @@ def default_view_specs(geometry, n_sax=5, pixel_spacing=2.0, size=None):
     return sax, la[0], la[1]
 
 
-def _trilinear(volume, idx):
-    """Trilinear sample of a (X, Y, Z) volume at fractional index coords."""
-    dims = volume.shape
-    idx = np.clip(idx, 0.0, np.array(dims, dtype=np.float64) - 1.0)
-    i0 = np.minimum(np.floor(idx).astype(np.int64), np.array(dims) - 2)
-    f = idx - i0
-    out = np.zeros(len(idx))
-    for dx in (0, 1):
-        wx = f[:, 0] if dx else 1.0 - f[:, 0]
-        for dy in (0, 1):
-            wy = f[:, 1] if dy else 1.0 - f[:, 1]
-            for dz in (0, 1):
-                wz = f[:, 2] if dz else 1.0 - f[:, 2]
-                out += (
-                    wx
-                    * wy
-                    * wz
-                    * volume[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
-                )
-    return out
-
-
-def _nearest(volume, idx):
-    dims = volume.shape
-    i = np.clip(np.rint(idx).astype(np.int64), 0, np.array(dims) - 1)
-    return volume[i[:, 0], i[:, 1], i[:, 2]]
-
-
 def _sample_plane(spec, geometry, intensity_frames, label_frames, shift_mm):
-    """Resample one plane per frame; shift_mm displaces the sampled content."""
-    xs = np.arange(spec.width)
-    ys = np.arange(spec.height)
-    gx, gy = np.meshgrid(xs, ys)  # row-major image[y, x]
+    """Resample one plane per frame; shift_mm displaces the sampled content.
+
+    Intensities are trilinear and labels nearest-voxel, both clamped to the
+    volume.  The clipped indices, the eight trilinear corner weights and one
+    flat base index (each corner is a fixed offset from it) are computed once
+    per plane; each frame is then only gathered from its flattened volume
+    and its corners summed in a fixed order.  Frames are never stacked.
+    """
+    gx, gy = np.meshgrid(np.arange(spec.width), np.arange(spec.height))  # image[y, x]
     world = (
         spec.origin
         + gx[..., None] * spec.pixel_spacing[0] * spec.axis_u
@@ -544,21 +528,34 @@ def _sample_plane(spec, geometry, intensity_frames, label_frames, shift_mm):
         + shift_mm[0] * spec.axis_u
         + shift_mm[1] * spec.axis_v
     )
-    pts = world.reshape(-1, 3)
-    idx = (pts - geometry.origin) / geometry.spacing
-    n_frames = len(intensity_frames)
-    image = np.empty((n_frames, spec.height, spec.width))
-    labels = None if label_frames is None else np.empty(
-        (n_frames, spec.height, spec.width), dtype=np.int16
-    )
-    for t in range(n_frames):
-        image[t] = _trilinear(intensity_frames[t], idx).reshape(
-            spec.height, spec.width
-        )
-        if labels is not None:
-            labels[t] = _nearest(label_frames[t], idx).reshape(
-                spec.height, spec.width
-            )
+    idx = (world.reshape(-1, 3) - geometry.origin) / geometry.spacing
+    shape = (len(intensity_frames), spec.height, spec.width)
+    dims = np.array(intensity_frames[0].shape)
+    step = np.array([dims[1] * dims[2], dims[2], 1])
+    c = np.clip(idx, 0.0, dims - 1.0)
+    i0 = np.minimum(np.floor(c).astype(np.int64), dims - 2)
+    f = c - i0
+    base = i0 @ step
+    corners = []  # (weight, flat offset from base) in accumulation order
+    for dx in (0, 1):
+        wx = f[:, 0] if dx else 1.0 - f[:, 0]
+        for dy in (0, 1):
+            wy = f[:, 1] if dy else 1.0 - f[:, 1]
+            for dz in (0, 1):
+                wz = f[:, 2] if dz else 1.0 - f[:, 2]
+                corners.append((wx * wy * wz, (dx, dy, dz) @ step))
+    image = np.empty(shape)
+    for volume, out in zip(intensity_frames, image.reshape(len(image), -1)):
+        flat = volume.ravel()
+        out[:] = 0.0
+        for weight, offset in corners:
+            out += weight * flat[offset:][base]
+    if label_frames is None:
+        return image, None
+    nearest = np.clip(np.rint(idx).astype(np.int64), 0, dims - 1) @ step
+    labels = np.empty(shape, dtype=np.int16)
+    for t, out in enumerate(labels):
+        out[:] = label_frames[t].ravel()[nearest].reshape(out.shape)
     return image, labels
 
 
