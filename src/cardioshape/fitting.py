@@ -69,7 +69,7 @@ def fit_sequence(template, targets, cfg=None):
     the coarse one is built once, the mid one once per stage-1 iteration, and
     one serves every fine lattice, so all frames warp in one product.  The
     losses see the warped vertices as one ``(T, V, 3)`` array with the
-    template's :class:`Topology`, whose edges and Laplacians are built once;
+    template's :class:`Topology`, whose pooled connectivity is built once;
     the returned sequence is the only mesh object the fit builds.
 
     Parameters

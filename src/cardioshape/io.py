@@ -36,12 +36,12 @@ def _json_line(obj):
 
 
 def write_obj(path, mesh):
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-    for f in mesh.faces:
-        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-    Path(path).write_text("".join(lines))
+    # one format per mesh renders each coordinate as _fmt does
+    v, f = mesh.vertices, mesh.faces + 1
+    Path(path).write_text(
+        "v %.17g %.17g %.17g\n" * len(v) % tuple(v.ravel().tolist())
+        + "f %d %d %d\n" * len(f) % tuple(f.ravel().tolist())
+    )
 
 
 def read_obj(path, structure_id):

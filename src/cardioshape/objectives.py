@@ -4,7 +4,9 @@ The fit losses take pooled coordinates ``x`` of shape ``(T, V, 3)`` (every
 frame's vertices in canonical structure order, as :func:`mesh.vectorize`
 lays them out) and the :class:`mesh.Topology` all frames share; structure
 ``s`` is the row slice ``topology.rows[s]``.  Each returns ``(value, grad)``
-with ``grad`` one ``(T, V, 3)`` array of dLoss/d(vertex).  Values are in mm
+with ``grad`` one ``(T, V, 3)`` array of dLoss/d(vertex).  The regularisers
+make one pass per frame over every structure through the topology's pooled
+connectivity, with per-structure sums over contiguous blocks.  Values are in mm
 (Dice and correlations dimensionless).  Gradients are exact except at the
 measure-zero kinks of norms and nearest-neighbour ties, where a fixed
 subgradient is used.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh import STRUCTURES, accumulated_normals
+from .mesh import STRUCTURES, _cross, _scatter_rows, accumulated_normals
 
 
 @dataclass
@@ -93,7 +95,7 @@ class LabelledPoints:
         n_p = self.counts[self.labels]
         value = float(d_vp @ (1.0 / n_v) + d_pv @ (1.0 / n_p))
         grad = _safe_unit(diff_vp, d_vp * n_v)
-        grad += _scatter_rows(idx_pv, _safe_unit(diff_pv, d_pv * n_p), len(verts))
+        grad += _scatter_rows(idx_pv, [_safe_unit(diff_pv, d_pv * n_p)], len(verts))
         return value, grad
 
 
@@ -157,13 +159,6 @@ def _safe_unit(diff, dist):
     return np.divide(diff, dist[..., None], out=np.zeros_like(diff), where=dist[..., None] > 0)
 
 
-def _scatter_rows(index, rows, n):
-    """(n, 3) sums of ``rows`` grouped by vertex ``index`` (one bincount per axis)."""
-    return np.stack(
-        [np.bincount(index, weights=rows[:, k], minlength=n) for k in range(3)], axis=1
-    )
-
-
 def recon_loss(x, topology, targets):
     """Symmetric mean nearest-neighbour distance between meshes and targets.
 
@@ -192,45 +187,71 @@ def recon_loss(x, topology, targets):
 def edge_loss(x, topology):
     """Standard deviation of edge length, averaged over frames, summed over
     structures."""
-    T = len(x)
-    grad = np.zeros_like(x)
+    T, V = x.shape[:2]
+    vi, vj = topology.pooled_edges.T.copy()
+    starts = np.searchsorted(topology.labels[vi], np.arange(len(STRUCTURES)))  # edge blocks
+    n = np.diff(starts, append=len(vi))
+    grad = np.empty_like(x)
+    diff = np.empty((len(vi), 3))  # one buffer for every frame
     total = 0.0
-    for s, rows in topology.rows.items():
-        e = topology.edges(s)
-        vi, vj = e[:, 0], e[:, 1]
-        ends = np.concatenate([vi, vj])
-        for t in range(T):
-            verts = x[t, rows]
-            diff = verts[vi] - verts[vj]
-            lengths = np.linalg.norm(diff, axis=1)
-            mean = lengths.mean()
-            std = np.sqrt(np.mean((lengths - mean) ** 2))
-            total += std
-            if std > 0:
-                # d std/d e_k = (e_k - mean)/(|E| std); mean term cancels.
-                coef = (lengths - mean) / (len(lengths) * std * T)
-                pull = coef[:, None] * _safe_unit(diff, lengths)
-                grad[t, rows] += _scatter_rows(
-                    ends, np.concatenate([pull, -pull]), len(verts)
-                )
+    for t in range(T):
+        np.take(x[t], vi, axis=0, out=diff)
+        diff -= np.take(x[t], vj, axis=0)
+        lengths = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dev = lengths - np.repeat(np.add.reduceat(lengths, starts) / n, n)
+        std = np.sqrt(np.add.reduceat(dev * dev, starts) / n)
+        total += std.sum()
+        # d std/d e_k = (e_k - mean)/(|E| std); mean term cancels.
+        inv = np.divide(1.0, n * std * T, out=np.zeros_like(std), where=std > 0)
+        coef = dev * np.repeat(inv, n)
+        diff *= np.divide(coef, lengths, out=np.zeros_like(coef), where=lengths > 0)[:, None]
+        grad[t] = _scatter_rows(vi, [diff], V)
+        grad[t] -= _scatter_rows(vj, [diff], V)
     return total / T, grad
 
 
-def _pearson_and_grad(h, h0):
-    """Pearson r(h, h0) and dr/dh (h0 fixed)."""
-    hc = h - h.mean()
-    h0c = h0 - h0.mean()
-    nh = np.linalg.norm(hc)
-    nh0 = np.linalg.norm(h0c)
-    if nh == 0 or nh0 == 0:
+def _pearson_and_grad(h, h0, starts):
+    """Per block of rows from ``starts``: Pearson r(h, h0) and dr/dh (h0 fixed)."""
+    n = np.diff(starts, append=len(h))
+    hc = h - np.repeat(np.add.reduceat(h, starts) / n, n)
+    h0c = h0 - np.repeat(np.add.reduceat(h0, starts) / n, n)
+    nh = np.sqrt(np.add.reduceat(hc * hc, starts))
+    nh0 = np.sqrt(np.add.reduceat(h0c * h0c, starts))
+    if (nh == 0).any() or (nh0 == 0).any():
         raise ValueError("zero-variance curvature field: correlation undefined")
-    if np.array_equal(h, h0):
-        # Identical fields correlate at exactly 1 (avoids one-ulp noise).
-        return 1.0, np.zeros_like(hc)
-    r = float(hc @ h0c / (nh * nh0))
+    r = np.add.reduceat(hc * h0c, starts) / (nh * nh0)
+    # Identical fields correlate at exactly 1 (avoids one-ulp noise).
+    same = np.logical_and.reduceat(h == h0, starts)
+    r[same] = 1.0
     # Both hc and h0c are zero-mean, so the centering projector is a no-op.
-    dr_dh = (h0c - r * (nh0 / nh) * hc) / (nh * nh0)
+    dr_dh = (h0c - np.repeat(r * (nh0 / nh), n) * hc) / np.repeat(nh * nh0, n)
+    dr_dh[np.repeat(same, n)] = 0.0
     return r, dr_dh
+
+
+def _curvature_frame(verts, topology, lap_t, h0, scale):
+    """One frame's per-structure curvature correlations r, and ``scale`` times
+    the vertex gradient of sum(1 - r); the frame's temporaries go with the call."""
+    lap, corners = topology.laplacian, topology.corners
+    m, mnorm = accumulated_normals(verts, corners.T)
+    n = m / mnorm[:, None]
+    lv = lap @ verts
+    h = -0.5 * np.einsum("ij,ij->i", lv, n)
+    r, dr_dh = _pearson_and_grad(h, h0, topology.starts)
+    g_h = -scale * dr_dh
+    # Path through the Laplacian term (normals held fixed).
+    g_v = -0.5 * (lap_t @ (g_h[:, None] * n))
+    # Path through the normals: a face's (v1 - v0) x (v2 - v0) moves its
+    # corner k by (v[k+1] - v[k-1]) x r_f, one corner at a time.
+    q = -0.5 * g_h[:, None] * lv
+    g_m = (q - (np.einsum("ij,ij->i", q, n))[:, None] * n) / mnorm[:, None]
+    r_f = np.take(g_m, corners, axis=0).sum(axis=0)
+    del m, n, lv, q, g_m  # not held through the face passes
+    for k in range(3):
+        d = np.take(verts, corners[k - 2], axis=0)
+        d -= np.take(verts, corners[k - 1], axis=0)
+        g_v += _scatter_rows(corners[k], [_cross(d, r_f)], len(verts))
+    return r, g_v
 
 
 def curvature_loss(x, topology, template_curvatures):
@@ -241,38 +262,13 @@ def curvature_loss(x, topology, template_curvatures):
     term and the vertex normals.
     """
     T = len(x)
-    grad = np.zeros_like(x)
+    lap_t = topology.laplacian.T  # a view: the transpose is never stored
+    h0 = np.concatenate([np.asarray(template_curvatures[s], dtype=np.float64) for s in STRUCTURES])
+    grad = np.empty_like(x)
     total = 0.0
-    for s, rows in topology.rows.items():
-        lap = topology.laplacian(s)
-        lap_t = lap.T.tocsr()
-        faces = topology.faces[s]
-        corners = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
-        h0 = np.asarray(template_curvatures[s], dtype=np.float64)
-        for t in range(T):
-            verts = x[t, rows]
-            m, mnorm = accumulated_normals(verts, faces)
-            n = m / mnorm[:, None]
-            lv = lap @ verts
-            h = -0.5 * np.einsum("ij,ij->i", lv, n)
-            r, dr_dh = _pearson_and_grad(h, h0)
-            total += 1.0 - r
-            g_h = -dr_dh / T
-            # Path through the Laplacian term (normals held fixed).
-            g_v = -0.5 * (lap_t @ (g_h[:, None] * n))
-            # Path through the normals.
-            q = -0.5 * g_h[:, None] * lv
-            g_m = (q - (np.einsum("ij,ij->i", q, n))[:, None] * n) / mnorm[:, None]
-            r_f = g_m[faces[:, 0]] + g_m[faces[:, 1]] + g_m[faces[:, 2]]
-            v0 = verts[faces[:, 0]]
-            u = verts[faces[:, 1]] - v0
-            w = verts[faces[:, 2]] - v0
-            g_u = np.cross(w, r_f)
-            g_w = np.cross(r_f, u)
-            g_v += _scatter_rows(
-                corners, np.concatenate([g_u, g_w, -(g_u + g_w)]), len(verts)
-            )
-            grad[t, rows] += g_v
+    for t in range(T):
+        r, grad[t] = _curvature_frame(x[t], topology, lap_t, h0, 1.0 / T)
+        total += (1.0 - r).sum()
     return total / T, grad
 
 
@@ -281,17 +277,17 @@ def temporal_loss(x, topology):
     T = len(x)
     if T < 2:
         raise ValueError("temporal_loss needs at least two frames")
+    # each structure's displacements average over its own vertex count
+    n = (T - 1) * np.bincount(topology.labels)[topology.labels]
     grad = np.zeros_like(x)
     total = 0.0
-    for rows in topology.rows.values():
-        diff = x[1:, rows] - x[:-1, rows]
-        dist = np.linalg.norm(diff, axis=2)
-        total += dist.mean(axis=1).sum() / (T - 1)
-        w = 1.0 / ((T - 1) * dist.shape[1])
-        for t in range(T - 1):
-            unit = _safe_unit(diff[t], dist[t]) * w
-            grad[t + 1, rows] += unit
-            grad[t, rows] -= unit
+    for t in range(T - 1):
+        diff = x[t + 1] - x[t]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        total += float((dist / n).sum())
+        unit = _safe_unit(diff, dist * n)
+        grad[t + 1] += unit
+        grad[t] -= unit
     return total, grad
 
 
@@ -301,15 +297,13 @@ def cycle_loss(x, topology):
     grad = np.zeros_like(x)
     if len(x) < 2:
         return 0.0, grad
-    total = 0.0
-    for rows in topology.rows.values():
-        diff = x[-1, rows] - x[0, rows]
-        dist = np.linalg.norm(diff, axis=1)
-        total += dist.mean()
-        unit = _safe_unit(diff, dist) / len(diff)
-        grad[-1, rows] += unit
-        grad[0, rows] -= unit
-    return total, grad
+    n = np.bincount(topology.labels)[topology.labels]
+    diff = x[-1] - x[0]
+    dist = np.linalg.norm(diff, axis=1)
+    unit = _safe_unit(diff, dist * n)
+    grad[-1] += unit
+    grad[0] -= unit
+    return float((dist / n).sum()), grad
 
 
 def total_loss(x, topology, targets, weights, template_curvatures):

@@ -167,7 +167,7 @@ CONTOUR_RIDGE = 1e-3
 
 def _neighbours(topology):
     """(V, d) pooled rows of each vertex's neighbours, padded with the vertex."""
-    e = np.concatenate([topology.edges(s) + rows.start for s, rows in topology.rows.items()])
+    e = topology.pooled_edges
     ends = np.concatenate([e, e[:, ::-1]])  # every edge from both of its ends
     a, b = ends[np.argsort(ends[:, 0], kind="stable")].T
     counts = np.bincount(a, minlength=topology.total_vertices)

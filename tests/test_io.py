@@ -6,7 +6,7 @@ import pytest
 
 from cardioshape import io as cio
 from cardioshape import synth
-from cardioshape.mesh import STRUCTURES, Topology, vectorize
+from cardioshape.mesh import STRUCTURES, Topology, TriMesh, vectorize
 from cardioshape.objectives import TargetClouds
 from cardioshape.ffd import ControlGrid
 from cardioshape.ssm import ShapeModel, ipca_partial_fit
@@ -35,6 +35,23 @@ class TestObjSequences:
         cio.save_sequence(tmp_path / "b", seq)
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    def test_obj_bytes_match_per_coordinate_rendering(self, tmp_path):
+        # the rendering write_obj once had: one "%.17g" per coordinate
+        rng = np.random.default_rng(3)
+        special = [[-0.0, 1e-300, 1e17], [0.1, -1.0 / 3.0, 2.0**60], [5e-324, -1e308, 7.0]]
+        verts = np.concatenate([special, rng.normal(0, 40, (201, 3))])
+        faces = np.arange(len(verts)).reshape(-1, 3)
+        mesh = TriMesh(verts, faces, "RA")
+        expected = "".join(
+            [f"v {'%.17g' % x} {'%.17g' % y} {'%.17g' % z}\n" for x, y, z in verts.tolist()]
+            + [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in faces]
+        )
+        cio.write_obj(tmp_path / "m.obj", mesh)
+        assert (tmp_path / "m.obj").read_bytes() == expected.encode()
+        back = cio.read_obj(tmp_path / "m.obj", "RA")
+        assert np.array_equal(back.vertices, verts)
+        assert np.signbit(back.vertices[0, 0])
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -2,11 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.spatial import distance_matrix
 from scipy.spatial.transform import Rotation
 
 from cardioshape import synth
-from cardioshape.mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh
+from cardioshape.mesh import (
+    STRUCTURES,
+    ChamberSet,
+    MeshSequence,
+    TriMesh,
+    _laplacian,
+    accumulated_normals,
+    edges_from_faces,
+    graph_laplacian,
+)
 from cardioshape.objectives import (
     LabelledPoints,
     LossWeights,
@@ -523,3 +533,196 @@ class TestLossInvariances:
         for rows in topo.rows.values():
             g = grad[:, rows]
             assert np.abs(grad_p[:, rows] - g).max() <= 1e-12 * np.abs(g).max()
+
+
+# Per-structure loop versions of the regularisers, kept as the reference the
+# pooled one-pass-per-frame code is checked against.
+
+
+def _ref_scatter_rows(index, rows, n):
+    return np.stack(
+        [np.bincount(index, weights=rows[:, k], minlength=n) for k in range(3)], axis=1
+    )
+
+
+def _ref_safe_unit(diff, dist):
+    return np.divide(diff, dist[..., None], out=np.zeros_like(diff), where=dist[..., None] > 0)
+
+
+def _ref_edges_from_faces(faces):
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    return np.unique(np.sort(e, axis=1), axis=0)
+
+
+def _ref_accumulated_normals(vertices, faces):
+    v0, v1, v2 = (vertices[faces[:, k]] for k in range(3))
+    cr = np.cross(v1 - v0, v2 - v0)
+    m = np.zeros_like(vertices)
+    for k in range(3):
+        np.add.at(m, faces[:, k], cr)
+    norm = np.linalg.norm(m, axis=1)
+    return m, norm
+
+
+def _ref_edge_loss(x, topology):
+    T = len(x)
+    grad = np.zeros_like(x)
+    total = 0.0
+    for s, rows in topology.rows.items():
+        e = _ref_edges_from_faces(topology.faces[s])
+        vi, vj = e[:, 0], e[:, 1]
+        ends = np.concatenate([vi, vj])
+        for t in range(T):
+            verts = x[t, rows]
+            diff = verts[vi] - verts[vj]
+            lengths = np.linalg.norm(diff, axis=1)
+            mean = lengths.mean()
+            std = np.sqrt(np.mean((lengths - mean) ** 2))
+            total += std
+            if std > 0:
+                coef = (lengths - mean) / (len(lengths) * std * T)
+                pull = coef[:, None] * _ref_safe_unit(diff, lengths)
+                grad[t, rows] += _ref_scatter_rows(
+                    ends, np.concatenate([pull, -pull]), len(verts)
+                )
+    return total / T, grad
+
+
+def _ref_pearson_and_grad(h, h0):
+    hc = h - h.mean()
+    h0c = h0 - h0.mean()
+    nh = np.linalg.norm(hc)
+    nh0 = np.linalg.norm(h0c)
+    if nh == 0 or nh0 == 0:
+        raise ValueError("zero-variance curvature field: correlation undefined")
+    if np.array_equal(h, h0):
+        return 1.0, np.zeros_like(hc)
+    r = float(hc @ h0c / (nh * nh0))
+    dr_dh = (h0c - r * (nh0 / nh) * hc) / (nh * nh0)
+    return r, dr_dh
+
+
+def _ref_curvature_loss(x, topology, template_curvatures):
+    T = len(x)
+    grad = np.zeros_like(x)
+    total = 0.0
+    for s, rows in topology.rows.items():
+        faces = topology.faces[s]
+        lap = _laplacian(_ref_edges_from_faces(faces), topology.counts[s])
+        lap_t = lap.T.tocsr()
+        corners = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
+        h0 = np.asarray(template_curvatures[s], dtype=np.float64)
+        for t in range(T):
+            verts = x[t, rows]
+            m, mnorm = _ref_accumulated_normals(verts, faces)
+            n = m / mnorm[:, None]
+            lv = lap @ verts
+            h = -0.5 * np.einsum("ij,ij->i", lv, n)
+            r, dr_dh = _ref_pearson_and_grad(h, h0)
+            total += 1.0 - r
+            g_h = -dr_dh / T
+            g_v = -0.5 * (lap_t @ (g_h[:, None] * n))
+            q = -0.5 * g_h[:, None] * lv
+            g_m = (q - (np.einsum("ij,ij->i", q, n))[:, None] * n) / mnorm[:, None]
+            r_f = g_m[faces[:, 0]] + g_m[faces[:, 1]] + g_m[faces[:, 2]]
+            v0 = verts[faces[:, 0]]
+            u = verts[faces[:, 1]] - v0
+            w = verts[faces[:, 2]] - v0
+            g_u = np.cross(w, r_f)
+            g_w = np.cross(r_f, u)
+            g_v += _ref_scatter_rows(
+                corners, np.concatenate([g_u, g_w, -(g_u + g_w)]), len(verts)
+            )
+            grad[t, rows] += g_v
+    return total / T, grad
+
+
+def _ref_temporal_loss(x, topology):
+    T = len(x)
+    grad = np.zeros_like(x)
+    total = 0.0
+    for rows in topology.rows.values():
+        diff = x[1:, rows] - x[:-1, rows]
+        dist = np.linalg.norm(diff, axis=2)
+        total += dist.mean(axis=1).sum() / (T - 1)
+        w = 1.0 / ((T - 1) * dist.shape[1])
+        for t in range(T - 1):
+            unit = _ref_safe_unit(diff[t], dist[t]) * w
+            grad[t + 1, rows] += unit
+            grad[t, rows] -= unit
+    return total, grad
+
+
+def _ref_cycle_loss(x, topology):
+    grad = np.zeros_like(x)
+    if len(x) < 2:
+        return 0.0, grad
+    total = 0.0
+    for rows in topology.rows.values():
+        diff = x[-1, rows] - x[0, rows]
+        dist = np.linalg.norm(diff, axis=1)
+        total += dist.mean()
+        unit = _ref_safe_unit(diff, dist) / len(diff)
+        grad[-1, rows] += unit
+        grad[0, rows] -= unit
+    return total, grad
+
+
+class TestPooledMatchesLoops:
+    """The pooled regularisers agree with the per-structure loops to 1e-12
+    (value relative, gradient as max |difference| / max |gradient|): the
+    per-structure sums are only taken in another order."""
+
+    @staticmethod
+    def noisy_moved(template, n_frames, seed):
+        rng = np.random.default_rng(seed)
+        frames = []
+        for _ in range(n_frames):
+            rot = Rotation.random(random_state=rng).as_matrix()
+            moved = template.transformed(rotation=rot, translation=rng.normal(0, 20, 3))
+            frames.append(moved.with_all_vertices(
+                moved.all_vertices() + rng.normal(0, 0.3, (moved.total_vertices, 3))
+            ))
+        return MeshSequence(frames)
+
+    @pytest.mark.parametrize("n_frames", [1, 4])
+    def test_value_and_gradient_agree(self, small_pop, n_frames):
+        seq = self.noisy_moved(small_pop.template, n_frames, seed=n_frames)
+        x, topo = pooled(seq)
+        pairs = [
+            (edge_loss, _ref_edge_loss),
+            (
+                lambda x, t: curvature_loss(x, t, small_pop.curvatures),
+                lambda x, t: _ref_curvature_loss(x, t, small_pop.curvatures),
+            ),
+            (cycle_loss, _ref_cycle_loss),
+        ]
+        if n_frames > 1:
+            pairs.append((temporal_loss, _ref_temporal_loss))
+        for fn, ref in pairs:
+            value, grad = fn(x, topo)
+            ref_value, ref_grad = ref(x, topo)
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    def test_accumulated_normals_bit_identical(self, small_pop):
+        seq = self.noisy_moved(small_pop.template, 2, seed=0)
+        for chambers in [small_pop.template, *seq.frames]:
+            for s in STRUCTURES:
+                mesh = chambers[s]
+                m, norm = accumulated_normals(mesh.vertices, mesh.faces)
+                ref_m, ref_norm = _ref_accumulated_normals(mesh.vertices, mesh.faces)
+                assert np.array_equal(m, ref_m)
+                assert np.array_equal(norm, ref_norm)
+
+    def test_edges_and_pooled_laplacian(self, small_pop):
+        topo = pooled(MeshSequence([small_pop.template]))[1]
+        for s in STRUCTURES:
+            faces = small_pop.template[s].faces
+            assert np.array_equal(edges_from_faces(faces), _ref_edges_from_faces(faces))
+        blocks = sparse.block_diag(
+            [graph_laplacian(small_pop.template[s]) for s in STRUCTURES], format="csr"
+        )
+        lap = topo.laplacian
+        assert lap.shape == blocks.shape
+        assert (lap != blocks).nnz == 0

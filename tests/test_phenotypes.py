@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from cardioshape import synth
 from cardioshape.mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh
@@ -203,3 +206,32 @@ class TestDisplacementCurve:
     def test_first_frame_zero(self):
         seq = toy_sequence(n_frames=4, motion=lambda t: [0.5 * t, 0, 0])
         assert displacement_curve(seq, "LV-endo")[0] == 0.0
+
+
+class TestPhenotypeProperties:
+    """Volume is cubic in a uniform scale, and ejection fractions ignore a
+    rigid motion of the whole sequence."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(scale=st.floats(0.05, 20.0), level=st.integers(0, 2))
+    def test_volume_scales_as_cube(self, scale, level):
+        sphere = synth.icosphere(level)
+        v1 = mesh_volume(sphere.with_vertices(sphere.vertices * 10.0))
+        vs = mesh_volume(sphere.with_vertices(sphere.vertices * (10.0 * scale)))
+        assert abs(vs - scale**3 * v1) <= 1e-12 * scale**3 * v1
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        angles=st.tuples(*[st.floats(-180.0, 180.0)] * 3),
+        shift=st.tuples(*[st.floats(-200.0, 200.0)] * 3),
+    )
+    def test_ejection_fractions_rigid_invariant(self, template, angles, shift):
+        phases = np.sin(np.pi * np.arange(4) / 3) ** 2
+        seq = contracted_frames(template, 1.0 - 0.2 * phases)
+        rot = Rotation.from_euler("xyz", angles, degrees=True).as_matrix()
+        moved = MeshSequence(
+            [fr.transformed(rotation=rot, translation=np.array(shift)) for fr in seq.frames]
+        )
+        table, moved_table = phenotype_table(seq), phenotype_table(moved)
+        assert abs(moved_table.LVEF - table.LVEF) <= 1e-9 * table.LVEF
+        assert abs(moved_table.RVEF - table.RVEF) <= 1e-9 * table.RVEF
