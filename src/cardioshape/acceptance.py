@@ -19,7 +19,7 @@ from . import io as cio
 from . import ssm as cssm
 from .ffd import ControlGrid, compose_warp, compose_warp_gradient, warp_gradient, warp_points
 from .fitting import FitConfig, fit_sequence
-from .mesh import STRUCTURES, MeshSequence, TriMesh, vectorize
+from .mesh import STRUCTURES, MeshSequence, TriMesh, devectorize, vectorize
 from .motion import eval_intersections, mc_optimize
 from .objectives import (
     TargetClouds,
@@ -420,12 +420,8 @@ def criterion_6_ssm_curves():
     )
 
 
-_C7_STATE = {}
-
-
-def _criterion_7_subject(args):
-    """One recovery trial; module-level so worker processes can run it."""
-    model, subject_idx = _C7_STATE["model"], args
+def _criterion_7_subject(model, subject_idx):
+    """One recovery trial, on its own seed stream."""
     topo = model.topology
     ev = model.explained_variance
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([707, subject_idx])))
@@ -442,8 +438,6 @@ def _criterion_7_subject(args):
     for k in range(5):
         w_true[k] = rng.choice([-1, 1]) * rng.uniform(1.2, 2.0) * np.sqrt(ev[k])
     w_true[5:] = rng.normal(0, 0.2, model.n_active - 5) * np.sqrt(ev[5:])
-    from .mesh import devectorize
-
     seq = devectorize(cssm.decode(model, w_true), topo)
     contours = []
     for t in range(topo.n_frames):
@@ -467,8 +461,8 @@ def _criterion_7_subject(args):
 def criterion_7_contours(n_subjects=30):
     """Descriptor recovery from self-generated sparse contours.
 
-    Trials are independent per subject (own seed stream), so they run on a
-    small process pool; results do not depend on scheduling.
+    Trials are independent per subject (own seed stream), so results do
+    not depend on their order.
     """
     t0 = time.time()
     cfg = SynthConfig(scale=0.04, n_frames=10, seed=21, n_modes=6)
@@ -478,18 +472,7 @@ def criterion_7_contours(n_subjects=30):
     model = cssm.ShapeModel(n_components=20, topology=topo)
     cssm.ipca_partial_fit(model, vectors)
 
-    import multiprocessing
-    import os
-
-    _C7_STATE["model"] = model
-    n_workers = int(
-        os.environ.get("CARDIOSHAPE_THREADS", min(2, os.cpu_count() or 1))
-    )
-    if n_workers > 1:
-        with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-            outcomes = pool.map(_criterion_7_subject, range(n_subjects))
-    else:
-        outcomes = [_criterion_7_subject(i) for i in range(n_subjects)]
+    outcomes = [_criterion_7_subject(model, i) for i in range(n_subjects)]
     ok = sum(outcomes)
     passed = ok >= 0.9 * n_subjects
     return _result(

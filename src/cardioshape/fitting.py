@@ -15,7 +15,9 @@ import numpy as np
 from .ffd import ControlGrid, pull_back, weights
 from .mesh import STRUCTURES, MeshSequence, Topology, mean_curvature
 from .objectives import LossWeights, total_loss
-from .optim import Adam
+from .optim import descend
+
+LR_FINAL_FRAC = 0.05
 
 
 @dataclass
@@ -26,9 +28,6 @@ class FitConfig:
     dims_fine: tuple = (24, 24, 32)
     iterations: int = 200
     lr: float = 0.1
-    # Exponential decay of the step size over each stage; the final step is
-    # lr * lr_final_frac.  Shrinks Adam's oscillation floor near convergence.
-    lr_final_frac: float = 0.05
 
     def __post_init__(self):
         for dims in (self.dims_coarse, self.dims_mid, self.dims_fine):
@@ -36,14 +35,11 @@ class FitConfig:
                 raise ValueError("control-grid dims must all be >= 4")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0 < self.lr_final_frac <= 1:
-            raise ValueError("lr_final_frac must be in (0, 1]")
 
     def lr_at(self, iteration):
-        if self.iterations == 1:
-            return self.lr
-        frac = iteration / (self.iterations - 1)
-        return self.lr * self.lr_final_frac**frac
+        """``lr`` decayed exponentially over a stage to ``lr * LR_FINAL_FRAC``,
+        which shrinks Adam's oscillation floor near convergence."""
+        return self.lr * LR_FINAL_FRAC ** (iteration / max(self.iterations - 1, 1))
 
 
 def _fit_box(template, targets):
@@ -103,7 +99,6 @@ def fit_sequence(template, targets, cfg=None):
 
     # Stage 1: global grids against the first frame.
     frame1 = targets.frame(0)
-    params = np.zeros(coarse.displacements.size + mid.displacements.size)
     split = coarse.displacements.size
     w_coarse = weights(coarse, p0)
 
@@ -117,25 +112,20 @@ def fit_sequence(template, targets, cfg=None):
         _check_finite(warped, 1, it)
         return x1, w_mid, warped
 
-    adam = Adam(lr=cfg.lr)
-    best = (np.inf, params.copy(), 0)
-    for it in range(cfg.iterations):
-        x1, w_mid, warped = set_global(params, it)
+    def global_objective(param_vec, it):
+        x1, w_mid, warped = set_global(param_vec, it)
         value, grad, _ = loss(warped[None], frame1)
-        if not np.isfinite(value):
-            raise RuntimeError(f"non-finite loss in stage 1, iteration {it}")
-        trace.append(("global", it, value))
-        if value < best[0]:
-            best = (value, params.copy(), it)
         up = grad[0]
         del grad
         grad_mid = w_mid.T @ up
         del w_mid
         grad_coarse = w_coarse.T @ pull_back(mid, x1, up)
-        grad_vec = np.concatenate([grad_coarse.ravel(), grad_mid.ravel()])
-        adam.lr = cfg.lr_at(it)
-        params = adam.step(params, grad_vec)
-    initial = set_global(best[1], best[2])[2]
+        return value, np.concatenate([grad_coarse.ravel(), grad_mid.ravel()])
+
+    params = np.zeros(split + mid.displacements.size)
+    best, best_it, values = descend(global_objective, params, cfg.iterations, cfg.lr_at, "stage 1")
+    trace.extend(("global", it, value) for it, value in enumerate(values))
+    initial = set_global(best, best_it)[2]
     del w_coarse, frame1
 
     # Stage 2: per-frame fine grids, jointly under the full objective.
@@ -145,9 +135,6 @@ def fit_sequence(template, targets, cfg=None):
     fines = [ControlGrid.for_box(lo, hi, cfg.dims_fine) for _ in range(n_frames)]
     w_fine = weights(fines[0], initial)
     n_ctrl = w_fine.shape[1]
-    params = np.zeros(n_ctrl * n_frames * 3)
-    adam = Adam(lr=cfg.lr)
-    best = (np.inf, params.copy())
 
     def warp_frames(param_vec):
         moved = w_fine @ param_vec.reshape(n_ctrl, 3 * n_frames)
@@ -155,25 +142,22 @@ def fit_sequence(template, targets, cfg=None):
         x += initial
         return x
 
-    for it in range(cfg.iterations):
-        x = warp_frames(params)
+    def frames_objective(param_vec, it):
+        x = warp_frames(param_vec)
         _check_finite(x, 2, it)
         value, grad, _ = loss(x, targets)
         del x
-        if not np.isfinite(value):
-            raise RuntimeError(f"non-finite loss in stage 2, iteration {it}")
-        trace.append(("frames", it, value))
-        if value < best[0]:
-            best = (value, params.copy())
         grad_vec = (w_fine.T @ grad.transpose(1, 0, 2).reshape(-1, 3 * n_frames)).ravel()
         del grad
-        adam.lr = cfg.lr_at(it)
-        params = adam.step(params, grad_vec)
-        del grad_vec
-    per_frame = best[1].reshape(n_ctrl, n_frames, 3)
+        return value, grad_vec
+
+    params = np.zeros(n_ctrl * n_frames * 3)
+    best, _, values = descend(frames_objective, params, cfg.iterations, cfg.lr_at, "stage 2")
+    trace.extend(("frames", it, value) for it, value in enumerate(values))
+    per_frame = best.reshape(n_ctrl, n_frames, 3)
     for t in range(n_frames):
         fines[t].displacements = per_frame[:, t].reshape(fine_shape).copy()
-    x = warp_frames(best[1])
+    x = warp_frames(best)
     seq = MeshSequence([template.with_all_vertices(x[t]) for t in range(n_frames)])
     grids = {"coarse": coarse, "mid": mid, "fine": fines}
     return seq, grids, trace

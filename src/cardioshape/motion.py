@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .objectives import pearson_r
-from .optim import Adam
+from .optim import descend
 
 
 class SlicePlane:
@@ -298,30 +298,20 @@ def mc_objective(views, displacements=None):
 
 
 def mc_optimize(views, lr=0.1, epochs=1000):
-    """Jointly minimise the alignment objective with Adam.
+    """Jointly minimise the alignment objective with Adam at a fixed step
+    size (:func:`optim.descend`).
 
     Returns the best-so-far displacements per plane id and the objective
     trace.  The planes' displacement attributes are set to the best values.
     """
     planes = views.planes()
-    params = np.concatenate([p.displacement for p in planes])
-    adam = Adam(lr=lr)
-    best = (np.inf, params.copy())
-    trace = np.empty(epochs)
-    for epoch in range(epochs):
-        value, grad = mc_objective(views, params.reshape(-1, 2))
-        if not np.isfinite(value):
-            raise RuntimeError(
-                f"motion-correction objective became non-finite at epoch {epoch}"
-            )
-        trace[epoch] = value
-        if value < best[0]:
-            best = (value, params.copy())
-        params = adam.step(params, grad.ravel())
-    kept = best[1].reshape(-1, 2)
-    for p, d in zip(planes, kept):
+    start = np.array([p.displacement for p in planes])
+    best, _, values = descend(
+        lambda d, it: mc_objective(views, d), start, epochs, lambda it: lr, "motion correction"
+    )
+    for p, d in zip(planes, best):
         p.displacement = d.copy()
-    return {p.plane_id: d.copy() for p, d in zip(planes, kept)}, trace
+    return {p.plane_id: d.copy() for p, d in zip(planes, best)}, np.array(values, float)
 
 
 def eval_intersections(views):

@@ -58,27 +58,30 @@ class PhenotypeTable:
         return [getattr(self, c) for c in self.COLUMNS]
 
 
-def mesh_volume(mesh, vertices=None):
-    """Enclosed volume of a closed, consistently oriented mesh in mL."""
-    v = mesh.vertices if vertices is None else vertices
+def _volumes(mesh, frames):
+    """Enclosed volumes (mL) of ``mesh``'s closed, consistently oriented
+    connectivity at each (n, 3) vertex array of ``frames``."""
     n_boundary = mesh.boundary_edge_count()
     if n_boundary:
         raise ValueError(
             f"mesh {mesh.structure_id} is open ({n_boundary} boundary edges)"
         )
-    v0 = v[mesh.faces[:, 0]]
-    v1 = v[mesh.faces[:, 1]]
-    v2 = v[mesh.faces[:, 2]]
-    volume_mm3 = abs(np.einsum("ij,ij->i", np.cross(v0, v1), v2).sum() / 6.0)
-    return volume_mm3 * 1e-3
+    f = mesh.faces
+    return [
+        abs(np.einsum("ij,ij->i", np.cross(v[f[:, 0]], v[f[:, 1]]), v[f[:, 2]]).sum() / 6.0) * 1e-3
+        for v in frames
+    ]
+
+
+def mesh_volume(mesh):
+    """Enclosed volume of a closed, consistently oriented mesh in mL."""
+    return _volumes(mesh, [mesh.vertices])[0]
 
 
 def volume_curve(seq, structure):
-    """Per-frame enclosed volume (mL) of one structure."""
-    mesh0 = seq.frames[0][structure]
-    return np.array(
-        [mesh_volume(mesh0, vertices=fr[structure].vertices) for fr in seq.frames]
-    )
+    """Per-frame enclosed volume (mL) of one structure; the frames share one
+    connectivity, so it is checked for closedness once."""
+    return np.array(_volumes(seq.frames[0][structure], [fr[structure].vertices for fr in seq.frames]))
 
 
 def wall_thickness(endo, epi):

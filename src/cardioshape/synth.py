@@ -594,9 +594,9 @@ def slice_views(intensity_frames, label_frames, geometry, specs, sigma, rng):
     return views, injected
 
 
-def plane_section(mesh, plane_origin, plane_normal, vertices=None):
+def plane_section(mesh, plane_origin, plane_normal):
     """Points where mesh edges cross a plane (an unordered contour sample)."""
-    v = mesh.vertices if vertices is None else vertices
+    v = mesh.vertices
     n = np.asarray(plane_normal, dtype=np.float64)
     n = n / np.linalg.norm(n)
     d = (v - np.asarray(plane_origin, dtype=np.float64)) @ n

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +293,14 @@ class TestPoseConvention:
         assert np.abs(got - expected).max() < 1e-8
 
 
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about 0.5 s and 30 MB to import; no module needs it
+    src = str(Path(cio.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import cardioshape.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 class TestExitCodes:
     def test_unknown_flag_exit_2(self):
         proc = subprocess.run(
@@ -346,9 +355,9 @@ class TestExitCodes:
         assert "lr" in capsys.readouterr().err
 
     def test_non_finite_fit_exit_1(self, synth_dir, tmp_path, monkeypatch, capsys):
-        from cardioshape import fitting
+        from cardioshape import optim
 
-        monkeypatch.setattr(fitting.Adam, "step", lambda self, p, g: p * np.nan)
+        monkeypatch.setattr(optim.Adam, "step", lambda self, p, g: p * np.nan)
         rc = main(
             [
                 "fit", "--template", str(synth_dir / "template"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cardioshape import fitting, mesh, synth
+from cardioshape import mesh, optim, synth
 from cardioshape.ffd import ControlGrid, warp_points
 from cardioshape.fitting import FitConfig, extract_surface_points, fit_sequence
 from cardioshape.mesh import STRUCTURES, MeshSequence
@@ -223,7 +223,7 @@ class TestFitLoops:
         # Adam steps 1-2 belong to stage 1 and 3-4 to stage 2; the step after
         # a poisoned one warps to NaN coordinates at the next iteration
         template, targets, fit_cfg = tiny_fit_inputs
-        step = fitting.Adam.step
+        step = optim.Adam.step
         calls = []
 
         def poisoned_step(self, params, grads):
@@ -231,6 +231,6 @@ class TestFitLoops:
             out = step(self, params, grads)
             return out * np.nan if len(calls) == bad_step else out
 
-        monkeypatch.setattr(fitting.Adam, "step", poisoned_step)
+        monkeypatch.setattr(optim.Adam, "step", poisoned_step)
         with pytest.raises(RuntimeError, match=f"stage {stage}, iteration 1"):
             fit_sequence(template, targets, fit_cfg)

@@ -55,6 +55,25 @@ class TestTriMeshValidation:
             }
         assert pairs == adj
 
+    @pytest.mark.parametrize("n_removed", [0, 1, 7, 60])
+    def test_boundary_count_matches_row_unique(self, icosphere3, n_removed):
+        # closed, once open and widely open, against the (E, 2) row-unique count
+        rng = np.random.default_rng(n_removed)
+        faces = icosphere3.faces[np.sort(rng.permutation(len(icosphere3.faces))[n_removed:])]
+        used, faces = np.unique(faces, return_inverse=True)
+        faces = faces.reshape(-1, 3)
+        mesh = TriMesh(icosphere3.vertices[used], faces, "RV")
+        sides = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
+        _, counts = np.unique(sides, axis=0, return_counts=True)
+        assert mesh.boundary_edge_count() == int(np.count_nonzero(counts != 2))
+        assert mesh.is_closed() == (n_removed == 0)
+
+    def test_boundary_count_non_manifold_edge(self):
+        # edge (0, 1) is shared by three faces; every other edge by one
+        v = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]]
+        tri = TriMesh(v, [[0, 1, 2], [1, 0, 3], [0, 1, 4]], "RV")
+        assert tri.boundary_edge_count() == 7
+
 
 class TestVertexNormals:
     def test_icosphere_normals_are_radial(self):

@@ -100,6 +100,20 @@ class TestVolumeCurve:
         curve = volume_curve(pop.sequences[0], "RV")
         assert abs(curve[0] - curve[-1]) < 1e-9
 
+    def test_equals_per_frame_mesh_volume(self):
+        seq = synth.synth_population(synth.SynthConfig(scale=0.03, n_frames=4, seed=4), 1).sequences[0]
+        for s in STRUCTURES:
+            assert np.array_equal(volume_curve(seq, s), [mesh_volume(fr[s]) for fr in seq.frames])
+
+    def test_open_structure_named(self, template):
+        rv = template["RV"]
+        meshes = {s: template[s] for s in STRUCTURES}
+        meshes["RV"] = TriMesh(rv.vertices, rv.faces[1:], "RV")
+        seq = MeshSequence([ChamberSet(meshes)] * 3)
+        with pytest.raises(ValueError, match=r"mesh RV is open \(3 boundary edges\)"):
+            volume_curve(seq, "RV")
+        assert volume_curve(seq, "LA").shape == (3,)
+
 
 class TestPhenotypeTable:
     def test_static_sequence_zero_sv_ef(self, template):

@@ -296,6 +296,28 @@ class TestCompleteSequence:
         projected = decode(model, encode(model, vectors[50]))
         assert np.abs(vectorize(completed) - projected).max() < 1e-6
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the whitened lstsq drops components whose explained variance "
+        "(~1e-26 here, 5 of 16) is below its rcond cutoff, so off the training "
+        "span completion is not the least-squares fit",
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(
+        idx=st.integers(0, 59),
+        noise=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_all_observed_equals_encode_decode(self, trained_population, idx, noise, seed):
+        # any shape, in or out of the training span: observing every frame
+        # gives the least-squares fit, which is the orthogonal projection
+        _, vectors, model = trained_population
+        v = vectors[idx] + np.random.default_rng(seed).normal(0.0, noise, model.dim)
+        observed = np.ones(model.topology.n_frames, dtype=bool)
+        completed = complete_sequence(model, devectorize(v, model.topology), observed)
+        projected = decode(model, encode(model, v))
+        assert np.abs(vectorize(completed) - projected).max() < 1e-6
+
     def test_more_frames_help(self, trained_population):
         pop, vectors, model = trained_population
         n_frames = model.topology.n_frames
