@@ -265,9 +265,14 @@ def cmd_ssm(args):
             raise cio.ValidationError(
                 f"{args.meshes}: {seq.n_frames} frames, the model has {topology.n_frames}"
             )
-        observed = np.zeros(topology.n_frames, dtype=bool)
-        for t in args.observed.split(","):
-            observed[int(t)] = True
+        n = topology.n_frames
+        indices = args.observed.split(",")
+        if not all(t.strip().isdecimal() and int(t) < n for t in indices):
+            raise cio.ValidationError(
+                f"--observed {args.observed!r}: frames must lie in 0..{n - 1}"
+            )
+        observed = np.zeros(n, dtype=bool)
+        observed[[int(t) for t in indices]] = True
         # Unobserved frames may be placeholders, so only observed ones are aligned.
         shown = np.flatnonzero(observed)
         aligned = _to_model_space(MeshSequence([seq[t] for t in shown]), template)

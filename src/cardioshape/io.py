@@ -4,13 +4,15 @@ binary shape-model container, control-grid records, and CSV emitters.
 All writers are deterministic byte-for-byte: floats are rendered with %.17g
 (text) or stored as little-endian float64 (binary), JSON uses sorted keys
 and fixed separators.  Binary containers start with a one-line JSON header
-or a fixed magic, and corrupt headers raise ValidationError rather than
-crashing downstream.
+(volumes: dims, spacing, origin, dtype, frames; views: planes, each with
+frames, height, width, has_label; target clouds: structures, counts) or a
+fixed magic, and every one is read through ``_container``: the payload must
+match the header exactly, so a truncated payload and trailing bytes are both
+rejected.  Every loader error is a ValidationError that names the file.
 """
 
 import json
-import os
-import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,51 @@ def _fmt(x):
 
 def _json_line(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _require(obj, keys, what):
+    """Check that ``obj`` is a JSON object holding ``keys``."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValidationError(f"{what} missing {key!r}")
+
+
+@contextmanager
+def _container(path, kind, keys=None):
+    """Open a binary container and yield ``(header, take)``.
+
+    Given ``keys``, the first line is a JSON object header holding them.
+    ``take(dtype, count, what)`` reads the next ``count`` items; a clean exit
+    requires the payload used up exactly.  Every error, a malformed value met
+    in the ``with`` body included, is a ValidationError naming ``path``.
+    """
+    with open(path, "rb") as fh:
+        size = Path(path).stat().st_size
+        header = None
+        if keys is not None:
+            try:
+                header = json.loads(fh.readline())
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValidationError(f"{path}: invalid {kind} header ({exc})") from exc
+            _require(header, keys, f"{path}: {kind} header")
+
+        def take(dtype, count, what):
+            dtype = np.dtype(dtype)
+            # checked before reading, so a corrupt count allocates nothing
+            if count < 0 or count * dtype.itemsize > size - fh.tell():
+                raise ValidationError(f"{path}: truncated {what} (file too short)")
+            return np.fromfile(fh, dtype, count=count)
+
+        try:
+            yield header, take
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{path}: malformed {kind} file ({type(exc).__name__}: {exc})"
+            ) from exc
+        if fh.read(1):
+            raise ValidationError(f"{path}: trailing bytes after the {kind} payload")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +131,9 @@ def load_sequence(directory):
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{manifest_path}: invalid JSON ({exc})") from exc
-    if list(manifest.get("structures", [])) != list(STRUCTURES):
+    _require(manifest, ("structures", "n_frames", "vertex_counts"), manifest_path)
+    _require(manifest["vertex_counts"], STRUCTURES, f"{manifest_path}: vertex_counts")
+    if list(manifest["structures"]) != list(STRUCTURES):
         raise ValidationError(f"{manifest_path}: unexpected structure list")
     frames = []
     for t in range(int(manifest["n_frames"])):
@@ -138,32 +187,24 @@ def save_volume(path, frames, geometry):
 def load_volume(path):
     from .synth import VolumeGeometry
 
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid volume header ({exc})") from exc
-        for key in ("dims", "spacing", "origin", "dtype", "frames"):
-            if key not in header:
-                raise ValidationError(f"{path}: volume header missing {key!r}")
+    keys = ("dims", "spacing", "origin", "dtype", "frames")
+    with _container(path, "volume", keys) as (header, take):
         if header["dtype"] not in _VOLUME_DTYPES:
             raise ValidationError(f"{path}: unknown dtype {header['dtype']!r}")
-        dims = tuple(int(d) for d in header["dims"])
-        shape = (int(header["frames"]), dims[2], dims[1], dims[0])
-        dtype = np.dtype(_VOLUME_DTYPES[header["dtype"]])
-        expected = int(np.prod(shape)) * dtype.itemsize
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != expected:
-            raise ValidationError(f"{path}: payload is {size} bytes, expected {expected}")
-        voxels = np.fromfile(fh, dtype, count=int(np.prod(shape))).reshape(shape)
-    frames = np.ascontiguousarray(voxels.transpose(0, 3, 2, 1))
-    geometry = VolumeGeometry(header["origin"], header["spacing"], dims)
+        nx, ny, nz = (int(d) for d in header["dims"])
+        shape = (int(header["frames"]), nz, ny, nx)
+        dtype = _VOLUME_DTYPES[header["dtype"]]
+        voxels = take(dtype, shape[0] * nz * ny * nx, "voxel payload")
+        frames = np.ascontiguousarray(voxels.reshape(shape).transpose(0, 3, 2, 1))
+        geometry = VolumeGeometry(header["origin"], header["spacing"], (nx, ny, nz))
     return frames, geometry
 
 
 # ---------------------------------------------------------------------------
 # View container: one JSON header line describing all planes, then per plane
 # the image payload (float64) and, if present, the label payload (int16).
+
+_PLANE_SHAPE_KEYS = ("frames", "height", "width", "has_label")
 
 
 def save_views(path, views):
@@ -202,30 +243,17 @@ def load_views(path):
 
     sax = []
     la = {}
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid views header ({exc})") from exc
-        for meta in header.get("planes", []):
+    with _container(path, "views", ("planes",)) as (header, take):
+        for i, meta in enumerate(header["planes"]):
+            _require(meta, _PLANE_SHAPE_KEYS, f"{path}: views plane {i}")
             t, h, w = int(meta["frames"]), int(meta["height"]), int(meta["width"])
-            image = np.fromfile(fh, "<f8", count=t * h * w)
-            if image.size != t * h * w:
-                raise ValidationError(f"{path}: truncated image payload")
+            image = take("<f8", t * h * w, "image payload").reshape(t, h, w)
             label = None
             if meta["has_label"]:
-                label = np.fromfile(fh, "<i2", count=t * h * w)
-                if label.size != t * h * w:
-                    raise ValidationError(f"{path}: truncated label payload")
-                label = label.reshape(t, h, w)
+                label = take("<i2", t * h * w, "label payload").reshape(t, h, w)
             plane = SlicePlane(
-                origin=meta["origin"],
-                axis_u=meta["axis_u"],
-                axis_v=meta["axis_v"],
-                pixel_spacing=meta["pixel_spacing"],
-                image=image.reshape(t, h, w),
-                label=label,
-                plane_id=meta["id"],
+                meta["origin"], meta["axis_u"], meta["axis_v"], meta["pixel_spacing"],
+                image, label, plane_id=meta["id"],
             )
             if meta["role"] == "sax":
                 sax.append(plane)
@@ -242,9 +270,7 @@ def load_views(path):
 
 
 def save_target_clouds(path, targets):
-    counts = [
-        {s: len(frame[s]) for s in frame} for frame in targets.frames
-    ]
+    counts = [{s: len(frame[s]) for s in frame} for frame in targets.frames]
     header = {
         "frames": targets.n_frames,
         "structures": list(targets.structures()),
@@ -260,22 +286,15 @@ def save_target_clouds(path, targets):
 def load_target_clouds(path):
     from .objectives import TargetClouds
 
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid target header ({exc})") from exc
-        frames = []
-        for counts in header["counts"]:
-            frame = {}
-            for s in header["structures"]:
-                n = int(counts[s])
-                pts = np.fromfile(fh, "<f8", count=3 * n)
-                if pts.size != 3 * n:
-                    raise ValidationError(f"{path}: truncated point payload")
-                frame[s] = pts.reshape(n, 3)
-            frames.append(frame)
-    return TargetClouds(frames)
+    with _container(path, "target-cloud", ("structures", "counts")) as (header, take):
+        frames = [
+            {
+                s: take("<f8", 3 * int(counts[s]), "point payload").reshape(-1, 3)
+                for s in header["structures"]
+            }
+            for counts in header["counts"]
+        ]
+        return TargetClouds(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -288,29 +307,20 @@ def load_target_clouds(path):
 
 _HSSM_MAGIC = b"HSSM"
 _HSSM_VERSION = 1
+_HSSM_HEAD = np.dtype("S4,<u4,<u8,<u4,<u4,<u4,<u4,<u8,<f8")  # 48 bytes, unpadded
 
 
 def save_model(path, model, topology):
     model.require_trained()
-    header = struct.pack(
-        "<4sIQIIIIQd",
-        _HSSM_MAGIC,
-        _HSSM_VERSION,
-        topology.digest(),
-        topology.n_frames,
-        topology.total_vertices,
-        model.n_components,
-        model.n_active,
-        model.n_seen,
-        model.sq_dev_total,
+    header = (
+        _HSSM_MAGIC, _HSSM_VERSION, topology.digest(), topology.n_frames,
+        topology.total_vertices, model.n_components, model.n_active,
+        model.n_seen, model.sq_dev_total,
     )
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(model.mean, dtype="<f8").tobytes())
-        fh.write(
-            np.ascontiguousarray(model.explained_variance, dtype="<f8").tobytes()
-        )
-        fh.write(np.ascontiguousarray(model.components, dtype="<f8").tobytes())
+        fh.write(np.array(header, _HSSM_HEAD).tobytes())
+        for array in (model.mean, model.explained_variance, model.components):
+            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 
 def load_model(path, template=None):
@@ -321,14 +331,9 @@ def load_model(path, template=None):
     """
     from .ssm import ShapeModel
 
-    head_size = struct.calcsize("<4sIQIIIIQd")
-    with open(path, "rb") as fh:
-        head = fh.read(head_size)
-        if len(head) < head_size:
-            raise ValidationError(f"{path}: file too short for a model header")
-        magic, version, digest, t, n_vertices, m, k, n_seen, sq_dev = struct.unpack(
-            "<4sIQIIIIQd", head
-        )
+    with _container(path, "model") as (_, take):
+        head = take(_HSSM_HEAD, 1, "model header")
+        magic, version, digest, t, n_vertices, m, k, n_seen, sq_dev = head.tolist()[0]
         if magic != _HSSM_MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}, expected 'HSSM'")
         if version != _HSSM_VERSION:
@@ -340,16 +345,10 @@ def load_model(path, template=None):
                 "different template"
             )
         dim = 3 * t * n_vertices
-        expected = head_size + 8 * (dim + k + k * dim)
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise ValidationError(
-                f"{path}: model payload is {size} bytes, expected {expected}"
-            )
         # read straight into the arrays: no whole-file buffer, no copies
-        mean = np.fromfile(fh, "<f8", count=dim)
-        ev = np.fromfile(fh, "<f8", count=k)
-        comps = np.fromfile(fh, "<f8", count=k * dim).reshape(k, dim)
+        mean = take("<f8", dim, "mean payload")
+        ev = take("<f8", k, "variance payload")
+        comps = take("<f8", k * dim, "component payload").reshape(k, dim)
     model = ShapeModel(n_components=m, topology=topology)
     model.mean = mean
     model.components = comps
@@ -366,44 +365,32 @@ def load_model(path, template=None):
 # records.
 
 _GRID_MAGIC = b"HFFD"
-
-
-def _write_grid_record(fh, grid):
-    fh.write(struct.pack("<3I", *grid.dims))
-    fh.write(np.ascontiguousarray(grid.origin, dtype="<f8").tobytes())
-    fh.write(np.ascontiguousarray(grid.spacing, dtype="<f8").tobytes())
-    fh.write(np.ascontiguousarray(grid.displacements, dtype="<f8").tobytes())
-
-
-def _read_grid_record(fh, path):
-    head = fh.read(60)
-    if len(head) < 60:
-        raise ValidationError(f"{path}: truncated grid record")
-    dims = struct.unpack_from("<3I", head)
-    origin, spacing = np.array(struct.unpack_from("<6d", head, 12)).reshape(2, 3)
-    n = dims[0] * dims[1] * dims[2] * 3
-    disp = np.fromfile(fh, "<f8", count=n)
-    if disp.size != n:
-        raise ValidationError(f"{path}: truncated grid displacements")
-    return ControlGrid(dims, origin, spacing, disp.reshape(dims + (3,)))
+_GRIDS_HEAD = np.dtype("S4,<u4,<u4")
+_GRID_HEAD = np.dtype("(3,)<u4,(3,)<f8,(3,)<f8")
 
 
 def save_grids(path, grids):
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", _GRID_MAGIC, 1, len(grids)))
+        fh.write(np.array((_GRID_MAGIC, 1, len(grids)), _GRIDS_HEAD).tobytes())
         for g in grids:
-            _write_grid_record(fh, g)
+            fh.write(np.array((g.dims, g.origin, g.spacing), _GRID_HEAD).tobytes())
+            fh.write(np.ascontiguousarray(g.displacements, dtype="<f8").tobytes())
 
 
 def load_grids(path):
-    with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) < 12 or head[:4] != _GRID_MAGIC:
+    with _container(path, "grids") as (_, take):
+        magic, version, count = take(_GRIDS_HEAD, 1, "grids header").tolist()[0]
+        if magic != _GRID_MAGIC:
             raise ValidationError(f"{path}: not a grids file")
-        _, version, count = struct.unpack("<4sII", head)
         if version != 1:
             raise ValidationError(f"{path}: unsupported grids version {version}")
-        return [_read_grid_record(fh, path) for _ in range(count)]
+        grids = []
+        for _ in range(count):
+            dims, origin, spacing = take(_GRID_HEAD, 1, "grid record")[0]
+            dims = tuple(dims.tolist())
+            disp = take("<f8", 3 * dims[0] * dims[1] * dims[2], "grid displacements")
+            grids.append(ControlGrid(dims, origin, spacing, disp.reshape(dims + (3,))))
+        return grids
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +442,29 @@ def save_features_csv(path, values, subject_ids=None):
     Path(path).write_text("".join(lines))
 
 
-def load_features_csv(path):
+def _csv_rows(path, width=None):
+    """Yield (line number, fields) for each row after the header; every row
+    must have ``width`` fields, by default as many as the header."""
     lines = Path(path).read_text().splitlines()
     if not lines:
-        raise ValidationError(f"{path}: empty features file")
+        raise ValidationError(f"{path}: empty CSV file")
+    width = width or lines[0].count(",") + 1
+    for n, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValidationError(f"{path}, line {n}: {len(parts)} fields, expected {width}")
+        yield n, parts
+
+
+def load_features_csv(path):
     ids = []
     rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
+    for n, parts in _csv_rows(path):
         ids.append(parts[0])
-        rows.append([float(x) for x in parts[1:]])
+        try:
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise ValidationError(f"{path}, line {n}: {exc}") from exc
     return ids, np.array(rows)
 
 
@@ -477,14 +477,8 @@ def save_groups_csv(path, groups, subject_ids=None):
 
 
 def load_groups_csv(path):
-    lines = Path(path).read_text().splitlines()
-    ids = []
-    groups = []
-    for line in lines[1:]:
-        sid, g = line.split(",")
-        ids.append(sid)
-        groups.append(g)
-    return ids, np.array(groups)
+    rows = [parts for _, parts in _csv_rows(path, width=2)]
+    return [sid for sid, _ in rows], np.array([g for _, g in rows])
 
 
 def save_displacements_json(path, displacements):

@@ -383,6 +383,47 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("observed", ["3", "9", "-1", "0,x", ""])
+    def test_complete_observed_out_of_range_exit_2(
+        self, synth_dir, model_dir, tmp_path, capsys, observed
+    ):
+        rc = main(
+            [
+                "ssm", "complete", "--template", str(synth_dir / "template"),
+                "--model", str(model_dir / "model.hssm"),
+                "--meshes", str(synth_dir / "subject_000" / "meshes"),
+                "--observed", observed, "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--observed" in err and "0..2" in err
+        assert not (tmp_path / "meshes").exists()
+
+    @pytest.mark.parametrize(
+        "features, groups, bad, line",
+        [
+            ("subject_id,f0\n0,1.5\n1,abc\n", "subject_id,group\n0,a\n1,b\n", "features", 3),
+            ("subject_id,f0\n0,1.5\n1,2.5,3.5\n", "subject_id,group\n0,a\n1,b\n", "features", 3),
+            ("subject_id,f0\n0,1.5\n1,2.5\n", "subject_id,group\n0,a,x\n1,b\n",
+             "groups", 2),
+        ],
+        ids=["not-a-number", "ragged-row", "three-fields"],
+    )
+    def test_retrieve_bad_csv_names_file_and_line(
+        self, tmp_path, capsys, features, groups, bad, line
+    ):
+        (tmp_path / "features.csv").write_text(features)
+        (tmp_path / "groups.csv").write_text(groups)
+        rc = main(
+            [
+                "retrieve", "--features", str(tmp_path / "features.csv"),
+                "--groups", str(tmp_path / "groups.csv"), "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        assert f"{tmp_path / (bad + '.csv')}, line {line}" in capsys.readouterr().err
+
     def test_config_file_defaults(self, tmp_path):
         cfg = {"subjects": 2, "scale": 0.02, "frames": 2, "sax": 3}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))

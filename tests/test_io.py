@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -6,9 +8,11 @@ import pytest
 
 from cardioshape import io as cio
 from cardioshape import synth
+from cardioshape.cli import main
 from cardioshape.mesh import STRUCTURES, Topology, TriMesh, vectorize
 from cardioshape.objectives import TargetClouds
 from cardioshape.ffd import ControlGrid
+from cardioshape.motion import SlicePlane, ViewSet
 from cardioshape.ssm import ShapeModel, ipca_partial_fit
 
 
@@ -57,6 +61,26 @@ class TestObjSequences:
         (tmp_path / "empty").mkdir()
         with pytest.raises(cio.ValidationError, match="manifest"):
             cio.load_sequence(tmp_path / "empty")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop("n_frames"), "missing 'n_frames'"),
+            (lambda m: m.pop("vertex_counts"), "missing 'vertex_counts'"),
+            (lambda m: m["vertex_counts"].pop("RV"), "vertex_counts missing 'RV'"),
+            (lambda m: [m], "not a JSON object"),
+        ],
+        ids=["n_frames", "vertex_counts", "RV_count", "list"],
+    )
+    def test_malformed_manifest_names_file(self, population, tmp_path, edit, message):
+        cio.save_sequence(tmp_path / "subj", population.sequences[0])
+        path = tmp_path / "subj" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edited = edit(manifest)
+        path.write_text(json.dumps(edited if isinstance(edited, list) else manifest))
+        with pytest.raises(cio.ValidationError, match=re.escape(str(path))) as info:
+            cio.load_sequence(tmp_path / "subj")
+        assert message in str(info.value)
 
 
 class TestVolumeFile:
@@ -256,6 +280,167 @@ class TestGridFile:
         (tmp_path / "g.bin").write_bytes(b"NOPE" + b"\0" * 20)
         with pytest.raises(cio.ValidationError, match="grids"):
             cio.load_grids(tmp_path / "g.bin")
+
+
+def _tiny_views():
+    rng = np.random.default_rng(5)
+
+    def plane(i, origin, u, v):
+        label = rng.integers(0, 3, (1, 2, 3)).astype(np.int16)
+        image = rng.normal(size=(1, 2, 3))
+        return SlicePlane(origin, u, v, (1.0, 1.0), image, label, plane_id=f"p{i}")
+
+    x, y, z = np.eye(3)
+    sax = [plane(i, (0, 0, i), x, y) for i in range(3)]
+    return ViewSet(sax, plane(3, (0, 0, 0), x, z), plane(4, (0, 0, 0), y, z))
+
+
+def _tiny_model(population):
+    topology = population.sequences[0].topology()
+    model = ShapeModel(n_components=2, topology=topology)
+    ipca_partial_fit(model, np.stack([vectorize(s) for s in population.sequences]))
+    return model, topology
+
+
+def _tiny_grids():
+    rng = np.random.default_rng(6)
+    displacements = rng.normal(size=(4, 4, 5, 3))
+    return [ControlGrid((4, 4, 5), rng.normal(size=3), (1.0, 2.0, 3.0), displacements)]
+
+
+def _drop_header_key(raw, edit):
+    line, payload = raw.split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+# name: (write a valid file, load it, a broken header or a short fixed header)
+CONTAINERS = {
+    "volume": (
+        lambda path, pop: cio.save_volume(
+            path, np.zeros((1, 2, 2, 2)), synth.VolumeGeometry((0, 0, 0), (1, 1, 1), (2, 2, 2))
+        ),
+        cio.load_volume,
+        lambda raw: _drop_header_key(raw, lambda h: h.pop("frames")),
+    ),
+    "views": (
+        lambda path, pop: cio.save_views(path, _tiny_views()),
+        cio.load_views,
+        lambda raw: _drop_header_key(raw, lambda h: h["planes"][1].pop("frames")),
+    ),
+    "targets": (
+        lambda path, pop: cio.save_target_clouds(
+            path, TargetClouds.from_sequence(pop.sequences[2])
+        ),
+        cio.load_target_clouds,
+        lambda raw: _drop_header_key(raw, lambda h: h.pop("counts")),
+    ),
+    "model": (
+        lambda path, pop: cio.save_model(path, *_tiny_model(pop)),
+        cio.load_model,
+        lambda raw: raw[:40],
+    ),
+    "grids": (
+        lambda path, pop: cio.save_grids(path, _tiny_grids()),
+        cio.load_grids,
+        lambda raw: raw[:8],
+    ),
+}
+
+DEFECTS = {
+    "header": lambda raw, broken_header: broken_header(raw),
+    "truncated": lambda raw, broken_header: raw[:-1],
+    "trailing": lambda raw, broken_header: raw + bytes(16),
+}
+
+
+def _broken_file(population, tmp_path, container, defect):
+    write, _, broken_header = CONTAINERS[container]
+    good = tmp_path / f"{container}.bin"
+    write(good, population)
+    bad = tmp_path / f"{container}_{defect}.bin"
+    bad.write_bytes(DEFECTS[defect](good.read_bytes(), broken_header))
+    return good, bad
+
+
+class TestContainers:
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @pytest.mark.parametrize("container", sorted(CONTAINERS))
+    def test_defect_raises_naming_file(self, population, tmp_path, container, defect):
+        good, bad = _broken_file(population, tmp_path, container, defect)
+        load = CONTAINERS[container][1]
+        load(good)
+        with pytest.raises(cio.ValidationError, match=re.escape(str(bad))) as info:
+            load(bad)
+        expected = {"header": "header", "truncated": "truncated", "trailing": "trailing bytes"}
+        assert expected[defect] in str(info.value)
+
+    @pytest.mark.parametrize(
+        "load, header",
+        [
+            (cio.load_views, b"[1, 2]"),
+            (cio.load_views, b'{"planes": 5}'),
+            (cio.load_views, b'{"planes": [{"frames": "x", "height": 1, "width": 1, '
+                             b'"has_label": false}]}'),
+            (cio.load_target_clouds, b'{"structures": ["RV"]}'),
+            (cio.load_target_clouds, b'{"structures": ["RV"], "counts": [{}]}'),
+            (cio.load_volume, b'{"dims": [2, 2], "spacing": [1, 1, 1], "origin": [0, 0, 0], '
+                              b'"dtype": "uint8", "frames": 1}'),
+            (cio.load_volume, b"5"),
+            (cio.load_volume, b"\xff\xfe"),
+        ],
+        ids=["views-list", "views-planes-int", "views-frames-str", "targets-no-counts",
+             "targets-count-missing", "volume-two-dims", "volume-int", "volume-not-utf8"],
+    )
+    def test_malformed_header_raises_naming_file(self, tmp_path, load, header):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(header + b"\n" + bytes(8))
+        with pytest.raises(cio.ValidationError, match=re.escape(str(path))):
+            load(path)
+
+    def test_corrupt_count_allocates_nothing(self, tmp_path):
+        # a header naming ~2**60 points must fail at the size check, not in malloc
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b'{"structures": ["RV"], "counts": [{"RV": 400000000000000000}]}\n')
+        with pytest.raises(cio.ValidationError, match="truncated point"):
+            cio.load_target_clouds(path)
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @pytest.mark.parametrize("container", ["views", "targets", "model"])
+    def test_cli_exit_2_names_file(self, population, tmp_path, capsys, container, defect):
+        _, bad = _broken_file(population, tmp_path, container, defect)
+        template = tmp_path / "template"
+        cio.save_sequence(template, population.sequences[0])
+        argv = {
+            "views": ["mc", "--views", str(bad)],
+            "targets": ["fit", "--template", str(template), "--targets", str(bad)],
+            "model": ["ssm", "encode", "--template", str(template), "--model", str(bad),
+                      "--meshes", str(template)],
+        }[container]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_writers_match_struct_layout(self, population, tmp_path):
+        model, topology = _tiny_model(population)
+        cio.save_model(tmp_path / "m.hssm", model, topology)
+        head = struct.pack(
+            "<4sIQIIIIQd", b"HSSM", 1, topology.digest(), topology.n_frames,
+            topology.total_vertices, model.n_components, model.n_active,
+            model.n_seen, model.sq_dev_total,
+        )
+        arrays = (model.mean, model.explained_variance, model.components)
+        expected = head + b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)
+        assert (tmp_path / "m.hssm").read_bytes() == expected
+
+        grids = _tiny_grids() * 2
+        cio.save_grids(tmp_path / "g.bin", grids)
+        expected = struct.pack("<4sII", b"HFFD", 1, 2) + b"".join(
+            struct.pack("<3I", *g.dims) + struct.pack("<6d", *g.origin, *g.spacing)
+            + g.displacements.astype("<f8").tobytes()
+            for g in grids
+        )
+        assert (tmp_path / "g.bin").read_bytes() == expected
 
 
 class TestCsv:
