@@ -33,7 +33,8 @@ for start in range(0, len(train), 32):  # stream mini-batches
 
 print(f"model: {model.n_active} components over {model.dim}-dim shape vectors")
 print("compactness:", " ".join(
-    f"k={k}:{compactness(model, k):.3f}" for k in (1, 2, 4, 8, 16)
+    f"k={k}:{compactness(model, k):.3f}"
+    for k in [k for k in (1, 2, 4, 8, 16) if k < model.n_active] + [model.n_active]
 ))
 
 mean_err, sd_err, _ = generalization_error(model, test, model.n_active)

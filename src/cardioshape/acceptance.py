@@ -391,7 +391,7 @@ def criterion_6_ssm_curves():
     comp_full = abs(comp[-1] - 1.0) < 1e-8
 
     test = vectors[70:90]
-    ks = [1, 2, 4, 8, 16, model.n_active]
+    ks = [k for k in (1, 2, 4, 8, 16) if k < model.n_active] + [model.n_active]
     per_vector = np.stack(
         [cssm.generalization_error(model, test, k)[2] for k in ks]
     )

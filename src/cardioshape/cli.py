@@ -250,6 +250,8 @@ def cmd_ssm(args):
         return 0
     if args.action == "decode":
         _, rows = cio.load_features_csv(args.weights)
+        if rows.shape[1:] != (model.n_active,):
+            raise cio.ValidationError(f"{args.weights}: expected {model.n_active} weights per row")
         seq = devectorize(cssm.decode(model, rows[0]), topology)
         cio.save_sequence(out / "meshes", seq)
         return 0

@@ -94,14 +94,15 @@ def write_obj(path, mesh):
 def read_obj(path, structure_id):
     verts = []
     faces = []
-    for line in Path(path).read_text().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            verts.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "f":
-            faces.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        kind, *fields = line.split() or [""]
+        try:
+            if kind == "v":
+                verts.append([float(fields[i]) for i in range(3)])
+            elif kind == "f":
+                faces.append([int(fields[i].split("/")[0]) - 1 for i in range(3)])
+        except (ValueError, IndexError):
+            raise ValidationError(f"{path}, line {n}: malformed record {line.strip()!r}") from None
     if not verts or not faces:
         raise ValidationError(f"{path}: no usable v/f records")
     return TriMesh(np.array(verts), np.array(faces), structure_id)
@@ -353,7 +354,6 @@ def load_model(path, template=None):
     model.mean = mean
     model.components = comps
     model.explained_variance = ev
-    model.singular_values = np.sqrt(ev * max(n_seen - 1, 1))
     model.n_seen = int(n_seen)
     model.sq_dev_total = float(sq_dev)
     return model

@@ -1,12 +1,13 @@
 """Statistical shape model over vectorised mesh sequences.
 
 The model is a mean vector plus orthonormal principal directions learnt by
-incremental PCA (sequential Karhunen-Loeve updates over mini-batches), so a
-population far larger than memory can be streamed through.  Descriptors are
-the projection weights.  Both estimators of weights from partial data work
-in variance-whitened coordinates and are closed forms: completing missing
-frames is one least-squares solve, and sparse-contour fitting is ICP whose
-every round is one ridge-regularised k x k solve.
+incremental PCA, one method-of-snapshots update per mini-batch, so a
+population far larger than memory can be streamed through; only directions
+the data span are kept.  Descriptors are the projection weights.  Both
+estimators of weights from partial data work in variance-whitened
+coordinates and are closed forms: completing missing frames is one
+least-squares solve, and sparse-contour fitting is ICP whose every round is
+one ridge-regularised k x k solve.
 """
 
 import numpy as np
@@ -19,9 +20,11 @@ from .objectives import _blocked
 class ShapeModel:
     """Mean shape, principal components and explained variances.
 
-    ``components`` is stored row-wise, shape (k, dim) with k <= n_components;
-    rows are orthonormal.  ``explained_variance`` uses the sample (n-1)
-    convention.  ``topology`` is needed only to rebuild mesh sequences.
+    ``components`` is stored row-wise, shape (n_active, dim), rows orthonormal,
+    with n_active <= min(n_components, rank of the centred data seen).
+    ``explained_variance`` (sample n-1 convention, all positive) and
+    ``n_seen`` hold the whole spectrum.  ``topology`` is needed only to
+    rebuild mesh sequences.
     """
 
     def __init__(self, n_components=128, topology=None):
@@ -32,7 +35,6 @@ class ShapeModel:
         self.mean = None
         self.components = None
         self.explained_variance = None
-        self.singular_values = None
         self.n_seen = 0
         self.sq_dev_total = 0.0  # running total sum of squared deviations
 
@@ -62,47 +64,46 @@ def _fix_signs(components):
     return components * signs[:, None]
 
 
+# Relative eigenvalue cutoff of the snapshot Gram matrix: directions the data
+# do not span sit near 1e-16 of the largest, and must not be divided by.
+RANK_TOL = 1e-12
+
+
 def ipca_partial_fit(model, batch):
-    """Update mean, components and variances with one mini-batch of rows."""
+    """Update mean, components and variances with one mini-batch of rows.
+
+    Method of snapshots (Sirovich 1987) on the stack of the components scaled
+    by their singular values, the centred batch and the mean-shift row (Ross
+    et al. 2008): the components are ``U^T stack / s`` for the eigenpairs
+    ``(U, s^2)`` of ``stack stack^T`` above ``RANK_TOL`` of the largest, at
+    most ``n_components`` of them.
+    """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or len(x) < 1:
         raise ValueError("batch must be a (n, dim) array with n >= 1")
-    n_new = len(x)
-    if model.mean is None:
-        batch_mean = x.mean(axis=0)
-        xc = x - batch_mean
-        _, s, vt = np.linalg.svd(xc, full_matrices=False)
-        n_total = n_new
-        model.mean = batch_mean
-        model.sq_dev_total = float((xc**2).sum())
-    else:
-        if x.shape[1] != model.dim:
-            raise ValueError(
-                f"batch dimension {x.shape[1]} does not match model dim {model.dim}"
-            )
-        n_old = model.n_seen
-        n_total = n_old + n_new
-        batch_mean = x.mean(axis=0)
-        xc = x - batch_mean
-        mean_shift = model.mean - batch_mean
-        mean_correction = np.sqrt(n_old * n_new / n_total) * mean_shift
-        stack = np.vstack(
-            [
-                model.singular_values[:, None] * model.components,
-                xc,
-                mean_correction[None, :],
-            ]
+    if model.mean is not None and x.shape[1] != model.dim:
+        raise ValueError(
+            f"batch dimension {x.shape[1]} does not match model dim {model.dim}"
         )
-        _, s, vt = np.linalg.svd(stack, full_matrices=False)
+    n_old, n_new = model.n_seen, len(x)
+    n_total = n_old + n_new
+    batch_mean = x.mean(axis=0)
+    stack = x - batch_mean
+    model.sq_dev_total += float((stack**2).sum())
+    if n_old:
+        shift = model.mean - batch_mean
+        s_old = np.sqrt(model.explained_variance * max(n_old - 1, 1))
+        shift_row = np.sqrt(n_old * n_new / n_total) * shift
+        stack = np.vstack([s_old[:, None] * model.components, stack, shift_row[None, :]])
+        model.sq_dev_total += float(shift_row @ shift_row)
         model.mean = (n_old * model.mean + n_new * batch_mean) / n_total
-        model.sq_dev_total += float((xc**2).sum()) + (
-            n_old * n_new / n_total
-        ) * float(mean_shift @ mean_shift)
-    k = min(model.n_components, len(s))
-    components = _fix_signs(vt[:k])
-    model.components = components
-    model.singular_values = s[:k]
-    model.explained_variance = s[:k] ** 2 / max(n_total - 1, 1)
+    else:
+        model.mean = batch_mean
+    evals, u = np.linalg.eigh(stack @ stack.T)
+    evals, u = evals[::-1], u[:, ::-1]
+    k = min(model.n_components, int(np.count_nonzero(evals > RANK_TOL * evals[0])))
+    model.components = _fix_signs(u[:, :k].T @ stack / np.sqrt(evals[:k])[:, None])
+    model.explained_variance = evals[:k] / max(n_total - 1, 1)
     model.n_seen = n_total
     return model
 
@@ -120,6 +121,8 @@ def decode(model, w):
     """Reconstruct a shape vector from descriptor weights."""
     model.require_trained()
     w = np.asarray(w, dtype=np.float64)
+    if w.shape != (model.n_active,):
+        raise ValueError(f"weights have shape {w.shape}, expected ({model.n_active},)")
     return model.mean + model.components.T @ w
 
 
@@ -152,12 +155,6 @@ def generalization_error(model, test_vectors, k):
         errors.append(float(np.sqrt((diff**2).sum(axis=1).mean())))
     errors = np.array(errors)
     return float(errors.mean()), float(errors.std()), errors
-
-
-def _whiten_scale(model):
-    # Weights w = sqrt(explained_variance) * z put every mode on the scale of
-    # its prior sd; zero-variance modes stay zero.
-    return np.sqrt(np.maximum(model.explained_variance, 0.0))
 
 
 # Ridge of the contour fit in mm^2: the prior z ~ N(0, I) on the whitened
@@ -206,7 +203,7 @@ def _contour_rounds(model, contours, z):
     # each frame's tree holds the vertices twice: all in block 0, and by structure
     vert_blocks = np.concatenate([np.zeros(n_verts, int), topology.labels + 1])
     nbr = _neighbours(topology)
-    scale = _whiten_scale(model)
+    scale = np.sqrt(model.explained_variance)
     # each point's last edge as frame rows; vertex 0 before the first match
     pair = np.zeros((2, len(points)), dtype=np.intp)
     frac = np.zeros(len(points))
@@ -261,7 +258,7 @@ def fit_to_contours(model, contours, lr=None, iters=100):
         step, z = np.abs(z_next - z).max(), z_next
         if step < 1e-6:
             break
-    return _whiten_scale(model) * z
+    return np.sqrt(model.explained_variance) * z
 
 
 def complete_sequence(model, partial, observed):
@@ -290,7 +287,7 @@ def complete_sequence(model, partial, observed):
         raise ValueError("partial sequence does not match model dimension")
     per_frame = 3 * topology.total_vertices
     rows = (per_frame * np.flatnonzero(observed)[:, None] + np.arange(per_frame)).ravel()
-    scale = _whiten_scale(model)
+    scale = np.sqrt(model.explained_variance)
     a = model.components[:, rows].T * scale
     z = np.linalg.lstsq(a, target[rows] - model.mean[rows], rcond=None)[0]
     return devectorize(decode(model, scale * z), topology)

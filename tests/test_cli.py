@@ -91,7 +91,8 @@ class TestSsmCommands:
         assert np.abs(w).max() < 1e-10
 
     def test_decode_roundtrip(self, synth_dir, model_dir, tmp_path):
-        cio.save_features_csv(tmp_path / "w.csv", np.zeros((1, 3)))
+        model = cio.load_model(model_dir / "model.hssm")
+        cio.save_features_csv(tmp_path / "w.csv", np.zeros((1, model.n_active)))
         rc = main(
             [
                 "ssm", "decode", "--template", str(synth_dir / "template"),
@@ -371,6 +372,21 @@ class TestExitCodes:
         )
         assert rc == 1
         assert "stage 1, iteration 1" in capsys.readouterr().err
+
+    def test_decode_weight_count_mismatch_exit_2(self, synth_dir, model_dir, tmp_path, capsys):
+        n_active = cio.load_model(model_dir / "model.hssm").n_active
+        cio.save_features_csv(tmp_path / "w.csv", np.zeros((1, n_active + 1)))
+        rc = main(
+            [
+                "ssm", "decode", "--template", str(synth_dir / "template"),
+                "--model", str(model_dir / "model.hssm"),
+                "--weights", str(tmp_path / "w.csv"), "--out", str(tmp_path / "dec"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "w.csv") in err and f"{n_active} weights" in err
+        assert not (tmp_path / "dec" / "meshes").exists()
 
     def test_complete_frame_count_mismatch_exit_2(self, synth_dir, model_dir, tmp_path):
         rc = main(

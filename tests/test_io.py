@@ -57,6 +57,14 @@ class TestObjSequences:
         assert np.array_equal(back.vertices, verts)
         assert np.signbit(back.vertices[0, 0])
 
+    @pytest.mark.parametrize("record", ["v 1 abc 3", "v 1 2", "f 1 2", "f 1 x 3"])
+    def test_malformed_obj_record_names_file_and_line(self, tmp_path, record):
+        path = tmp_path / "m.obj"
+        path.write_text(f"# mesh\nv 0 0 0\nv 1 0 0\n\nv 0 1 0\n{record}\nf 1 2 3\n")
+        with pytest.raises(cio.ValidationError) as exc:
+            cio.read_obj(path, "RA")
+        assert str(exc.value) == f"{path}, line 6: malformed record {record!r}"
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(cio.ValidationError, match="manifest"):
@@ -185,6 +193,20 @@ class TestModelFile:
         assert np.array_equal(back.explained_variance, model.explained_variance)
         assert back.n_seen == model.n_seen
         assert back.sq_dev_total == model.sq_dev_total
+
+    def test_loaded_model_continues_training_as_in_memory(self, population, tmp_path):
+        # the stored variances and sample count are the whole spectrum
+        vectors = np.stack([vectorize(s) for s in population.sequences])
+        topology = population.sequences[0].topology()
+        model = ShapeModel(n_components=3, topology=topology)
+        ipca_partial_fit(model, vectors[: len(vectors) // 2])
+        cio.save_model(tmp_path / "m.hssm", model, topology)
+        back = cio.load_model(tmp_path / "m.hssm")
+        for m in (model, back):
+            ipca_partial_fit(m, vectors[len(vectors) // 2 :])
+        assert np.array_equal(back.mean, model.mean)
+        assert np.array_equal(back.components, model.components)
+        assert np.array_equal(back.explained_variance, model.explained_variance)
 
     def test_bad_magic_rejected(self, population, tmp_path):
         vectors = np.stack([vectorize(s) for s in population.sequences])

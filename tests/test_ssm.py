@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
@@ -72,6 +72,40 @@ class TestIncrementalPCA:
             gram = model.components @ model.components.T
             assert np.abs(gram - np.eye(k)).max() < 1e-8
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rank=st.integers(1, 6),
+        n_components=st.integers(1, 8),
+        cuts=st.sets(st.integers(1, 23), max_size=23),
+        seed=st.integers(0, 2**16),
+    )
+    @example(rank=6, n_components=8, cuts=set(range(1, 24)), seed=0)  # one row per batch
+    def test_any_split_gives_the_one_batch_model(self, rank, n_components, cuts, seed):
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.normal(size=(30, rank)))[0]
+        data = (rng.normal(size=(24, rank)) * np.linspace(3, 1, rank)) @ basis.T
+        data += rng.normal(size=30)
+        whole = ipca_partial_fit(ShapeModel(n_components=n_components), data)
+        split = ShapeModel(n_components=n_components)
+        edges = [0, *sorted(cuts), 24]
+        for start, stop in zip(edges, edges[1:]):
+            ipca_partial_fit(split, data[start:stop])
+        k = min(rank, n_components)
+        assert whole.n_active == split.n_active == k
+        assert np.abs(split.components @ split.components.T - np.eye(k)).max() < 1e-10
+        assert np.abs(split.mean - whole.mean).max() < 1e-12
+        if rank <= n_components:  # nothing was truncated along the way
+            assert subspace_angles(split.components.T, whole.components.T).max() < 1e-8
+            ev = whole.explained_variance
+            assert np.abs(split.explained_variance - ev).max() < 1e-10 * ev[0]
+
+    def test_rank_deficient_data_keep_no_null_components(self, trained_population):
+        # 50 subjects of 5 modes: far fewer directions than the 16 asked for
+        _, vectors, model = trained_population
+        rank = np.linalg.matrix_rank(vectors[:50] - vectors[:50].mean(axis=0))
+        assert model.n_active == min(rank, model.n_components)
+        assert model.explained_variance[-1] > 1e-12 * model.explained_variance[0]
+
     def test_default_batch_size_in_cli(self):
         from cardioshape.cli import build_parser
 
@@ -124,6 +158,12 @@ class TestEncodeDecode:
         model = ShapeModel(n_components=8)
         ipca_partial_fit(model, rank10_data)
         assert np.array_equal(decode(model, np.zeros(model.n_active)), model.mean)
+
+    def test_decode_checks_weight_count(self, rank10_data):
+        model = ShapeModel(n_components=8)
+        ipca_partial_fit(model, rank10_data)
+        with pytest.raises(ValueError, match=r"expected \(8,\)"):
+            decode(model, np.zeros(3))
 
     def test_roundtrips(self, rank10_data):
         model = ShapeModel(n_components=12)
@@ -240,7 +280,7 @@ class TestFitToContours:
             for t in range(topo.n_frames)
         ]
         w = fit_to_contours(model, contours)
-        sd = np.sqrt(np.maximum(model.explained_variance, 1e-30))
+        sd = np.sqrt(model.explained_variance)
         assert np.all(np.abs(w) < 0.1 * sd + 1e-9)
 
     def test_unlabelled_entry_beside_labelled_ones(self, trained_population, plane_contours):
@@ -296,12 +336,6 @@ class TestCompleteSequence:
         projected = decode(model, encode(model, vectors[50]))
         assert np.abs(vectorize(completed) - projected).max() < 1e-6
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the whitened lstsq drops components whose explained variance "
-        "(~1e-26 here, 5 of 16) is below its rcond cutoff, so off the training "
-        "span completion is not the least-squares fit",
-    )
     @settings(max_examples=12, deadline=None)
     @given(
         idx=st.integers(0, 59),
@@ -348,7 +382,7 @@ class TestCompleteSequence:
         pop, vectors, model = trained_population
         n_frames = model.topology.n_frames
         per_frame = vectors.shape[1] // n_frames
-        scale = np.sqrt(np.maximum(model.explained_variance, 0.0))
+        scale = np.sqrt(model.explained_variance)
         for idx, frames in ((50, [0]), (51, [1, 4]), (52, range(n_frames))):
             observed = np.zeros(n_frames, dtype=bool)
             observed[list(frames)] = True
