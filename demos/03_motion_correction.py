@@ -25,7 +25,7 @@ views, injected = synth.slice_views(intensity, labels, geometry, specs, sigma=2.
 before = eval_intersections(views)
 print(f"\nbefore correction: dice {before['dice']:.3f}, pearson r {before['pearson_r']:.3f}")
 
-displacements, trace = mc_optimize(views, lr=0.1, epochs=200)
+displacements, trace = mc_optimize(views, epochs=200)
 after = eval_intersections(views)
 print(f"after  correction: dice {after['dice']:.3f}, pearson r {after['pearson_r']:.4f}")
 print(f"objective: {trace[0]:.1f} -> {trace.min():.1f}")

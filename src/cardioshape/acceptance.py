@@ -253,7 +253,7 @@ def criterion_3_motion(n_trials=50):
         rng = _rng(300 + trial)
         views, injected = slice_views(intens, labels, geom, specs, 2.0, rng)
         pre = eval_intersections(views)
-        displacements, _ = mc_optimize(views, lr=0.1, epochs=200)
+        displacements, _ = mc_optimize(views, epochs=200)
         post = eval_intersections(views)
         errors.extend(
             float(np.linalg.norm(displacements[k] + injected[k])) for k in injected

@@ -145,7 +145,7 @@ def cmd_synth(args):
 
 def cmd_mc(args):
     views = cio.load_views(args.views)
-    displacements, trace = mc_optimize(views, lr=args.lr, epochs=args.epochs)
+    displacements, trace = mc_optimize(views, epochs=args.epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cio.save_displacements_json(out / "displacements.json", displacements)
@@ -238,6 +238,8 @@ def cmd_ssm(args):
                 topology = Topology.from_chamber_set(template, n_frames)
                 model = cssm.ShapeModel(n_components=args.components, topology=topology)
             cssm.ipca_partial_fit(model, batch)
+        if model.n_active == 0:
+            raise cio.ValidationError(f"--data {args.data}: no shape variation, so no component")
         cio.save_model(out / "model.hssm", model, model.topology)
         return 0
 
@@ -418,8 +420,7 @@ def build_parser():
 
     p = sub.add_parser("mc", help="motion-correct a view set")
     p.add_argument("--views", type=Path, required=True)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=1000)
+    p.add_argument("--epochs", type=int, default=1000, help="at most this many rounds")
     _add_common(p)
     p.set_defaults(func=cmd_mc)
 

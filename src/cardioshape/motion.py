@@ -3,15 +3,14 @@
 Each slice plane owns a continuous in-plane displacement (mm).  The
 objective sums absolute intensity differences along every pair of
 plane-plane intersection lines plus a through-stack Laplacian smoothness
-term over the short-axis slices, and is minimised with Adam over all
-displacements jointly.
-
-Inside the objective and the Adam loop the displacements are one (P, 2)
-array in mm, rows in ``ViewSet.planes()`` order; the planes are set to the
-best iterate once, at the end.  One broadcasting sampler (``_bilinear``)
-serves the intersection lines (``ViewSet.pairs``, built once per view set)
-and the whole short-axis slices, each shifted by one sub-pixel offset.
-"""
+term over the short-axis slices.  Each residual is a bilinear sample, so all
+displacements are solved jointly by damped Gauss-Newton on the IRLS normal
+system of the absolute residuals (Lucas-Kanade with an L1 penalty; Baker &
+Matthews 2004): no step size.  In the solve the displacements are one (P, 2)
+array, rows in ``ViewSet.planes()`` order.  One residual pass
+(``_linearise``) over one broadcasting sampler (``_bilinear``) serves the
+intersection lines (``ViewSet.pairs``, built once per view set) and whole
+short-axis slices, each shifted by one sub-pixel offset."""
 
 import warnings
 from functools import cached_property
@@ -19,7 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from .objectives import pearson_r
-from .optim import descend
+
+IRLS_FLOOR = 1e-3  # IRLS weight 1 / max(|r|, IRLS_FLOOR)
+MU_START, MU_DOWN, MU_UP = 1e-3, 3.0, 10.0  # Levenberg-Marquardt damping
+STEP_TOL_PX = 1e-4  # a round whose step moves no plane this far ends the solve
 
 
 class SlicePlane:
@@ -32,22 +34,13 @@ class SlicePlane:
     """
 
     def __init__(
-        self,
-        origin,
-        axis_u,
-        axis_v,
-        pixel_spacing,
-        image,
-        label=None,
-        displacement=(0.0, 0.0),
-        plane_id="plane",
+        self, origin, axis_u, axis_v, pixel_spacing, image, label=None,
+        displacement=(0.0, 0.0), plane_id="plane",
     ):
         self.origin = np.asarray(origin, dtype=np.float64)
         self.axis_u = np.asarray(axis_u, dtype=np.float64)
         self.axis_v = np.asarray(axis_v, dtype=np.float64)
-        if abs(np.linalg.norm(self.axis_u) - 1) > 1e-9 or abs(
-            np.linalg.norm(self.axis_v) - 1
-        ) > 1e-9:
+        if max(abs(np.linalg.norm(a) - 1) for a in (self.axis_u, self.axis_v)) > 1e-9:
             raise ValueError("axis_u and axis_v must be unit vectors")
         if abs(self.axis_u @ self.axis_v) > 1e-9:
             raise ValueError("axis_u and axis_v must be orthogonal")
@@ -57,6 +50,8 @@ class SlicePlane:
         self.image = np.ascontiguousarray(image, dtype=np.float64)
         if self.image.ndim != 3:
             raise ValueError("image must have shape (T, H, W)")
+        if not np.isfinite(self.image).all():
+            raise ValueError(f"plane {plane_id}: image has non-finite pixels")
         self.label = None if label is None else np.asarray(label)
         if self.label is not None and self.label.shape != self.image.shape:
             raise ValueError("label must match image shape")
@@ -217,12 +212,7 @@ def intersection_samples(a, b):
     s_min, s_max = -np.inf, np.inf
     for plane in (a, b):
         h, w = plane.shape
-        for axis, size in ((plane.axis_u, w), (plane.axis_v, h)):
-            spacing = (
-                plane.pixel_spacing[0]
-                if axis is plane.axis_u
-                else plane.pixel_spacing[1]
-            )
+        for axis, size, spacing in zip((plane.axis_u, plane.axis_v), (w, h), plane.pixel_spacing):
             c0 = (q0 - plane.origin) @ axis / spacing
             slope = direction @ axis / spacing
             if abs(slope) < 1e-12:
@@ -241,18 +231,43 @@ def intersection_samples(a, b):
     return q0 + s[:, None] * direction
 
 
-def _sign_dots(sign, dx, dy):
-    return np.array([np.vdot(sign, dx), np.vdot(sign, dy)])
+def _linearise(views, shift):
+    """Sum of |r|, its (P, 2) sign subgradient and the (2P, 2P) IRLS normal
+    matrix ``J^T diag(1 / max(|r|, IRLS_FLOOR)) J`` (Holland & Welsch 1977) at
+    the (P, 2) pixel ``shift``.  The residuals are ``Ia - Ib`` on the pair
+    lines and half the through-stack second difference, each row of J taken
+    from the same ``_bilinear`` taps."""
+    planes = views.planes()
+    total = 0.0
+    grad = np.zeros(2 * len(planes))
+    normal = np.zeros((len(grad), len(grad)))
 
+    def add(residual, rows, coef, taps):
+        # plane rows[k] moves the residual by coef[k] * its (x, y) taps[k]
+        nonlocal total
+        size = np.abs(residual).ravel()
+        jac = taps.reshape(2 * len(rows), -1)
+        coef = np.repeat(coef, 2)
+        cols = [2 * k + axis for k in rows for axis in (0, 1)]
+        total += size.sum()
+        grad[cols] += coef * (jac @ np.sign(residual).ravel())
+        block = (jac / np.maximum(size, IRLS_FLOOR)) @ jac.T
+        normal[np.ix_(cols, cols)] += np.outer(coef, coef) * block
 
-def _pair_term(image_a, image_b, pix_a, pix_b):
-    """Sum of |Ia - Ib| over samples and frames at displaced pixel coords
-    (N, 2), and its gradients (2,) with respect to each side's pixel shift."""
-    va, ax, ay = _bilinear(image_a, pix_a[:, 0], pix_a[:, 1])
-    vb, bx, by = _bilinear(image_b, pix_b[:, 0], pix_b[:, 1])
-    diff = va - vb
-    sign = np.sign(diff)
-    return np.abs(diff).sum(), _sign_dots(sign, ax, ay), -_sign_dots(sign, bx, by)
+    for i, j, pix_a, pix_b in views.pairs:
+        va, *da = _bilinear(planes[i].image, *(pix_a + shift[i]).T)
+        vb, *db = _bilinear(planes[j].image, *(pix_b + shift[j]).T)
+        add(va - vb, (i, j), (1.0, -1.0), np.array(da + db))
+    sampled = [
+        _bilinear(p.image, np.arange(p.shape[1]) + x, np.arange(p.shape[0])[:, None] + y)
+        for p, (x, y) in zip(views.sax, shift)
+    ]
+    # (S, 2, T, H, W): three consecutive slices' taps are one contiguous view
+    taps = np.array([s[1:] for s in sampled])
+    for d in range(1, len(sampled) - 1):
+        second = 0.5 * (sampled[d - 1][0] + sampled[d + 1][0]) - sampled[d][0]
+        add(second, (d - 1, d, d + 1), (0.5, -1.0, 0.5), taps[d - 1 : d + 2])
+    return total, grad.reshape(-1, 2), normal
 
 
 def mc_objective(views, displacements=None):
@@ -271,47 +286,42 @@ def mc_objective(views, displacements=None):
     if displacements is None:
         displacements = [p.displacement for p in planes]
     spacing = np.array([p.pixel_spacing for p in planes])
-    shift = np.asarray(displacements, dtype=np.float64) / spacing
-    grad = np.zeros_like(shift)
-    total = 0.0
-    for i, j, pix_a, pix_b in views.pairs:
-        value, ga, gb = _pair_term(
-            planes[i].image, planes[j].image, pix_a + shift[i], pix_b + shift[j]
-        )
-        total += value
-        grad[i] += ga
-        grad[j] += gb
-    sampled = []
-    for d, p in enumerate(views.sax):
-        h, w = p.shape
-        xs = np.arange(w) + shift[d, 0]
-        ys = np.arange(h)[:, None] + shift[d, 1]
-        sampled.append(_bilinear(p.image, xs, ys))
-    for d in range(1, len(sampled) - 1):
-        second = sampled[d - 1][0] + sampled[d + 1][0] - 2.0 * sampled[d][0]
-        sign = np.sign(second)
-        total += 0.5 * np.abs(second).sum()
-        for k, weight in ((d - 1, 0.5), (d, -1.0), (d + 1, 0.5)):
-            grad[k] += weight * _sign_dots(sign, sampled[k][1], sampled[k][2])
+    total, grad, _ = _linearise(views, np.asarray(displacements, dtype=np.float64) / spacing)
     # chain rule through shift = displacement / spacing, per plane
     return total / views.n_frames, grad / spacing / views.n_frames
 
 
-def mc_optimize(views, lr=0.1, epochs=1000):
-    """Jointly minimise the alignment objective with Adam at a fixed step
-    size (:func:`optim.descend`).
-
-    Returns the best-so-far displacements per plane id and the objective
-    trace.  The planes' displacement attributes are set to the best values.
-    """
+def mc_optimize(views, lr=None, epochs=1000):
+    """Minimise the alignment objective by Levenberg-Marquardt rounds: solve
+    ``(H + mu diag H) step = -g`` (:func:`_linearise`), keep the step only if
+    it lowers the objective, and stop once a step moves no plane by
+    ``STEP_TOL_PX`` or after ``epochs`` rounds.  ``lr`` is ignored; it is
+    kept only for existing callers.  Returns the displacements per plane id
+    (also set on the planes) and the trace: the starting objective, then the
+    value tried in each round."""
     planes = views.planes()
-    start = np.array([p.displacement for p in planes])
-    best, _, values = descend(
-        lambda d, it: mc_objective(views, d), start, epochs, lambda it: lr, "motion correction"
-    )
+    spacing = np.array([p.pixel_spacing for p in planes])
+    shift = np.array([p.displacement for p in planes]) / spacing
+    value, grad, normal = _linearise(views, shift)
+    if not np.isfinite(value):
+        raise RuntimeError("non-finite loss in motion correction")
+    trace = [value]
+    mu = MU_START
+    for _ in range(epochs):
+        system = normal + mu * np.diag(np.diag(normal))
+        step = np.linalg.lstsq(system, -grad.ravel(), rcond=None)[0].reshape(-1, 2)
+        if np.linalg.norm(step, axis=1).max() < STEP_TOL_PX:
+            break
+        trial = _linearise(views, shift + step)
+        trace.append(trial[0])
+        if trial[0] < value:
+            shift, (value, grad, normal), mu = shift + step, trial, mu / MU_DOWN
+        else:
+            mu *= MU_UP
+    best = shift * spacing
     for p, d in zip(planes, best):
         p.displacement = d.copy()
-    return {p.plane_id: d.copy() for p, d in zip(planes, best)}, np.array(values, float)
+    return {p.plane_id: d.copy() for p, d in zip(planes, best)}, np.array(trace) / views.n_frames
 
 
 def eval_intersections(views):
@@ -327,10 +337,8 @@ def eval_intersections(views):
     have_labels = all(p.label is not None for p in planes)
     for i, j, pix_a, pix_b in views.pairs:
         a, b = planes[i], planes[j]
-        dpa = a.displaced_pixels(pix_a)
-        dpb = b.displaced_pixels(pix_b)
-        ints_a.append(_bilinear(a.image, dpa[:, 0], dpa[:, 1])[0].ravel())
-        ints_b.append(_bilinear(b.image, dpb[:, 0], dpb[:, 1])[0].ravel())
+        ints_a.append(_bilinear(a.image, *a.displaced_pixels(pix_a).T)[0].ravel())
+        ints_b.append(_bilinear(b.image, *b.displaced_pixels(pix_b).T)[0].ravel())
         if have_labels:
             labs_a.append(_sample_nearest_label(a, pix_a).ravel())
             labs_b.append(_sample_nearest_label(b, pix_b).ravel())

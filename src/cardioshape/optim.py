@@ -1,5 +1,5 @@
 """Adam over numpy parameter arrays, and the one descent loop that drives
-it for the subject fit and motion correction."""
+it for both subject-fit stages (motion correction uses neither)."""
 
 import numpy as np
 

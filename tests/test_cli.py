@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -343,6 +344,41 @@ class TestExitCodes:
         assert rc == 2
         assert str(attributes) in capsys.readouterr().err
         assert not (tmp_path / "corr" / "correlation.csv").exists()
+
+    def test_non_finite_views_exit_2(self, synth_dir, tmp_path, capsys):
+        views = cio.load_views(synth_dir / "subject_000" / "views.bin")
+        views.la_2ch.image[0, 3, 4] = np.nan
+        cio.save_views(tmp_path / "views.bin", views)
+        rc = main(["mc", "--views", str(tmp_path / "views.bin"), "--out", str(tmp_path / "mc")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "views.bin") in err and "non-finite" in err
+        assert not (tmp_path / "mc").exists()
+
+    def test_mc_has_no_lr(self, synth_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "mc", "--views", str(synth_dir / "subject_000" / "views.bin"),
+                    "--lr", "0.1", "--out", str(tmp_path),
+                ]
+            )
+        assert exc.value.code == 2
+
+    def test_train_without_components_exit_2(self, synth_dir, tmp_path, capsys):
+        # one subject: its centred shape is zero, so no component can be kept
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir / "subject_000" / "meshes", data / "subject_000" / "meshes")
+        rc = main(
+            [
+                "ssm", "train", "--data", str(data), "--template", str(synth_dir / "template"),
+                "--components", "2", "--out", str(tmp_path / "model"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--data {data}" in err and "no component" in err
+        assert not (tmp_path / "model" / "model.hssm").exists()
 
     def test_fit_lr_zero_exit_2(self, synth_dir, tmp_path, capsys):
         rc = main(

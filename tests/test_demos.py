@@ -1,4 +1,5 @@
-"""The shape-model and population demos run to completion as scripts."""
+"""The motion-correction, shape-model and population demos run to completion
+as scripts."""
 
 import os
 import subprocess
@@ -10,7 +11,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["05_shape_model.py", "06_phenotypes_and_population.py"])
+@pytest.mark.parametrize(
+    "demo", ["03_motion_correction.py", "05_shape_model.py", "06_phenotypes_and_population.py"]
+)
 def test_demo_exits_0(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

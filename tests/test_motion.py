@@ -9,7 +9,7 @@ from cardioshape.motion import (
     ViewSet,
     _bilinear,
     _label_dice,
-    _pair_term,
+    _linearise,
     bilinear_sample,
     eval_intersections,
     intersection_samples,
@@ -242,9 +242,11 @@ class TestObjective:
         assert worst < 1e-4
 
     def test_translation_along_intersection_invariance(self):
-        # both planes cut from one linear-intensity volume share the z axis;
-        # moving both contents equally along z re-samples the same volume
-        # values on each side, so the pair term is exactly unchanged
+        # both long-axis planes are cut from one linear-intensity volume and
+        # share the z axis; moving both contents equally along z re-samples
+        # the same volume values on each side, so the pair term is exactly
+        # unchanged.  The short-axis slices are constant and lie above both
+        # long-axis rectangles, so the long-axis pair is the only live term.
         gradient = np.array([0.3, 0.7, 0.2])
 
         def plane_image(origin, axis_u, axis_v, size=17):
@@ -264,31 +266,48 @@ class TestObjective:
             [-8, 0, -8], [1, 0, 0], [0, 0, 1],
             plane_image([-8, 0, -8], [1, 0, 0], [0, 0, 1]), pid="b",
         )
-        pts = intersection_samples(a, b)
-        pix_a = a.world_to_pixels(pts)
-        pix_b = b.world_to_pixels(pts)
-        base, _, _ = _pair_term(a.image, b.image, pix_a, pix_b)
+        sax = [
+            make_plane([-8, -8, z], [1, 0, 0], [0, 1, 0], np.zeros((1, 17, 17)), pid=f"s{z}")
+            for z in (20, 22, 24)
+        ]
+        views = ViewSet(sax, a, b)
+        with pytest.warns(UserWarning, match="empty intersection"):
+            assert len(views.pairs) == 1
+        base, _ = mc_objective(views)
         a.displacement = np.array([0.0, 1.3])  # v axis is z for both planes
         b.displacement = np.array([0.0, 1.3])
-        shifted, _, _ = _pair_term(
-            a.image, b.image, a.displaced_pixels(pix_a), b.displaced_pixels(pix_b)
-        )
+        shifted, _ = mc_objective(views)
         assert abs(shifted - base) < 1e-12
+        b.displacement = np.zeros(2)  # one side alone does change the term
+        assert mc_objective(views)[0] > base + 0.1
+
+    def test_normal_matrix_symmetric_psd(self, synthetic_views):
+        intensity, labels, geom, specs = synthetic_views
+        rng = np.random.Generator(np.random.Philox(29))
+        views, _ = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
+        shift = np.random.default_rng(5).normal(0, 1.0, (len(views.planes()), 2))
+        value, grad, normal = _linearise(views, shift)
+        assert normal.shape == (grad.size, grad.size)
+        scale = np.abs(normal).max()
+        assert np.abs(normal - normal.T).max() <= 1e-12 * scale
+        assert np.linalg.eigvalsh(normal).min() >= -1e-12 * scale
+        assert (np.diag(normal) > 0).all()
 
 
 class TestOptimize:
     def test_defaults(self):
         import inspect
 
+        # lr is accepted and ignored; epochs caps the Gauss-Newton rounds
         sig = inspect.signature(mc_optimize)
-        assert sig.parameters["lr"].default == 0.1
+        assert sig.parameters["lr"].default is None
         assert sig.parameters["epochs"].default == 1000
 
     def test_envelope_monotone_and_recovery(self, synthetic_views):
         intensity, labels, geom, specs = synthetic_views
         rng = np.random.Generator(np.random.Philox(13))
         views, injected = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
-        displacements, trace = mc_optimize(views, lr=0.1, epochs=150)
+        displacements, trace = mc_optimize(views, epochs=150)
         envelope = np.minimum.accumulate(trace)
         assert (np.diff(envelope) <= 0).all()
         errs = [np.linalg.norm(displacements[k] + injected[k]) for k in injected]
@@ -301,9 +320,32 @@ class TestOptimize:
         specs = synth.default_view_specs(geom, n_sax=5, pixel_spacing=1.0, size=96)
         rng = np.random.Generator(np.random.Philox(17))
         views, _ = synth.slice_views(intensity, labels, geom, specs, 0.0, rng)
-        displacements, _ = mc_optimize(views, lr=0.1, epochs=60)
+        displacements, _ = mc_optimize(views, epochs=60)
         mags = [np.linalg.norm(d) for d in displacements.values()]
         assert max(mags) < 0.2
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_objective_raises(self, synthetic_views):
+        intensity, labels, geom, specs = synthetic_views
+        rng = np.random.Generator(np.random.Philox(31))
+        views, _ = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
+        views.sax[0].image[0, 0, 0] = np.inf  # written after the constructor's check
+        with pytest.raises(RuntimeError, match="non-finite loss in motion correction"):
+            mc_optimize(views)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_long_axis_order_does_not_matter(self, synthetic_views, seed):
+        intensity, labels, geom, specs = synthetic_views
+        results = []
+        for swap in (False, True):
+            rng = np.random.Generator(np.random.Philox(seed))
+            views, _ = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
+            if swap:
+                views = ViewSet(views.sax, views.la_4ch, views.la_2ch)
+            results.append(mc_optimize(views)[0])
+        for pid, d in results[0].items():
+            assert np.abs(results[1][pid] - d).max() < 1e-9
 
 
 class TestEvalIntersections:
