@@ -108,6 +108,11 @@ def cmd_synth(args):
         cio.save_sequence(subj / "meshes", seq)
         targets = TargetClouds.from_sequence(seq)
         cio.save_target_clouds(subj / "targets.bin", targets)
+        truth = {
+            "mode_weights": [float(x) for x in pop.weights[i]],
+            "motion_scale": float(pop.motion_scales[i]),
+        }
+        ground_truth["subjects"][str(i)] = truth
         if args.views or args.volumes:
             labels = voxelize_sequence(seq, geom)
             if args.volumes:
@@ -123,23 +128,12 @@ def cmd_synth(args):
                 intens, labels, geom, specs, cfg.displacement_sigma, rng
             )
             cio.save_views(subj / "views.bin", views)
-            ground_truth["subjects"][str(i)] = {
-                "injected_displacements": {
-                    k: [float(v[0]), float(v[1])] for k, v in injected.items()
-                },
-                "mode_weights": [float(x) for x in pop.weights[i]],
-                "motion_scale": float(pop.motion_scales[i]),
-            }
-        else:
-            ground_truth["subjects"][str(i)] = {
-                "mode_weights": [float(x) for x in pop.weights[i]],
-                "motion_scale": float(pop.motion_scales[i]),
+            truth["injected_displacements"] = {
+                k: [float(v[0]), float(v[1])] for k, v in injected.items()
             }
     attrs = {k: [float(x) for x in v] for k, v in pop.attributes.items()}
     ground_truth["attributes"] = attrs
-    (out / "ground_truth.json").write_text(
-        json.dumps(ground_truth, sort_keys=True, indent=2) + "\n"
-    )
+    cio.save_json(out / "ground_truth.json", ground_truth)
     return 0
 
 
@@ -148,16 +142,12 @@ def cmd_mc(args):
     displacements, trace = mc_optimize(views, epochs=args.epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cio.save_displacements_json(out / "displacements.json", displacements)
-    metrics = eval_intersections(views)
-    (out / "mc_metrics.json").write_text(
-        json.dumps(
-            {k: float(v) for k, v in metrics.items()},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
+    cio.save_json(
+        out / "displacements.json",
+        {pid: [float(d[0]), float(d[1])] for pid, d in displacements.items()},
     )
+    metrics = eval_intersections(views)
+    cio.save_json(out / "mc_metrics.json", {k: float(v) for k, v in metrics.items()})
     return 0
 
 
@@ -213,7 +203,7 @@ def _to_model_space(seq, template):
     gets the same descriptor.  Frames are aligned one by one, which also
     discards whole-heart translation over the cycle.
     """
-    return MeshSequence([rigid_align(frame, template)[3] for frame in seq.frames])
+    return MeshSequence([rigid_align(frame, template)[2] for frame in seq.frames])
 
 
 def cmd_ssm(args):
@@ -317,6 +307,13 @@ def cmd_corr(args):
             f"{args.attributes}: {len(values)} attribute rows for "
             f"{len(subject_dirs)} subject_* directories in {args.data}"
         )
+    n_cols = values.shape[1]
+    col = args.attribute[1:] if args.attribute.startswith("f") else args.attribute
+    if not (col.isdecimal() and int(col) < n_cols):
+        raise cio.ValidationError(
+            f"--attribute {args.attribute!r}: {args.attributes} has {n_cols} columns, "
+            f"so give f<j> or <j> with 0 <= j < {n_cols}"
+        )
     mean_seq = devectorize(model.mean, model.topology)
     fields = np.stack(
         [
@@ -326,35 +323,37 @@ def cmd_corr(args):
             for d in subject_dirs
         ]
     )
-    names = [f"f{j}" for j in range(values.shape[1])]
-    col = names.index(args.attribute) if args.attribute in names else int(
-        args.attribute.lstrip("f")
-    )
-    r, p, significant = vertex_correlation(fields, values[:, col])
+    r, p, significant = vertex_correlation(fields, values[:, int(col)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cio.save_correlation_csv(out / "correlation.csv", model.topology, r, p, significant)
     return 0
 
 
+def _truncated(features, pcs):
+    """The first ``--pcs`` descriptor columns, or all of them when not given."""
+    if pcs is None:
+        return features
+    try:
+        return truncate_descriptor(features, pcs)
+    except ValueError as exc:
+        raise cio.ValidationError(f"--pcs: {exc}") from None
+
+
 def cmd_retrieve(args):
     _, values = cio.load_features_csv(args.features)
     _, groups = cio.load_groups_csv(args.groups)
-    features = FeatureMatrix(values)
-    if args.pcs is not None:
-        features = truncate_descriptor(features, args.pcs)
+    if args.queries < 1:
+        raise cio.ValidationError(f"--queries {args.queries}: must be >= 1")
+    features = _truncated(FeatureMatrix(values), args.pcs)
     precision = precision_at_k(
         features, groups, args.k, n_queries=args.queries, seed=args.seed
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "retrieval.json").write_text(
-        json.dumps(
-            {"k": args.k, "n_queries": args.queries, "precision_percent": precision},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
+    cio.save_json(
+        out / "retrieval.json",
+        {"k": args.k, "n_queries": args.queries, "precision_percent": precision},
     )
     return 0
 
@@ -362,18 +361,12 @@ def cmd_retrieve(args):
 def cmd_reid(args):
     _, v1 = cio.load_features_csv(args.features_t1)
     _, v2 = cio.load_features_csv(args.features_t2)
-    f1 = FeatureMatrix(v1)
-    f2 = FeatureMatrix(v2)
-    if args.pcs is not None:
-        f1 = truncate_descriptor(f1, args.pcs)
-        f2 = truncate_descriptor(f2, args.pcs)
+    f1 = _truncated(FeatureMatrix(v1), args.pcs)
+    f2 = _truncated(FeatureMatrix(v2), args.pcs)
     recall = recall_at_k(f1, f2, args.k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "reid.json").write_text(
-        json.dumps({"k": args.k, "recall_percent": recall}, sort_keys=True, indent=2)
-        + "\n"
-    )
+    cio.save_json(out / "reid.json", {"k": args.k, "recall_percent": recall})
     return 0
 
 

@@ -100,7 +100,11 @@ def read_obj(path, structure_id):
             if kind == "v":
                 verts.append([float(fields[i]) for i in range(3)])
             elif kind == "f":
-                faces.append([int(fields[i].split("/")[0]) - 1 for i in range(3)])
+                face = [int(ref.split("/")[0]) - 1 for ref in fields]
+                # polygons and relative (negative) indices are not read
+                if len(face) != 3 or min(face) < 0:
+                    raise ValueError
+                faces.append(face)
         except (ValueError, IndexError):
             raise ValidationError(f"{path}, line {n}: malformed record {line.strip()!r}") from None
     if not verts or not faces:
@@ -394,14 +398,16 @@ def load_grids(path):
 
 
 # ---------------------------------------------------------------------------
-# CSV emitters
+# CSV and JSON emitters
 
 
 def save_phenotype_csv(path, tables, subject_ids=None):
+    from dataclasses import fields
+
     from .phenotypes import PhenotypeTable
 
     header = ["subject_id"] + [
-        f"{c} ({u})" for c, u in zip(PhenotypeTable.COLUMNS, PhenotypeTable.UNITS)
+        f"{f.name} ({u})" for f, u in zip(fields(PhenotypeTable), PhenotypeTable.UNITS)
     ]
     lines = [",".join(header) + "\n"]
     for i, table in enumerate(tables):
@@ -481,6 +487,6 @@ def load_groups_csv(path):
     return [sid for sid, _ in rows], np.array([g for _, g in rows])
 
 
-def save_displacements_json(path, displacements):
-    obj = {pid: [float(d[0]), float(d[1])] for pid, d in displacements.items()}
+def save_json(path, obj):
+    """``obj`` as indented JSON with sorted keys and a final newline."""
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")

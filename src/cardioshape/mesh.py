@@ -121,7 +121,7 @@ def accumulated_normals(vertices, faces):
     return m, norm
 
 
-def vertex_normals(mesh, vertices=None):
+def vertex_normals(mesh):
     """Outward unit vertex normals.
 
     Each vertex normal is the area-weighted average of its incident face
@@ -131,9 +131,6 @@ def vertex_normals(mesh, vertices=None):
     Parameters
     ----------
     mesh : TriMesh
-    vertices : ndarray, optional
-        Override coordinates (same connectivity); used when evaluating a
-        deformed copy of the mesh without re-wrapping it.
 
     Returns
     -------
@@ -144,8 +141,7 @@ def vertex_normals(mesh, vertices=None):
     ValueError
         If some vertex has a zero-area triangle fan (no usable normal).
     """
-    v = mesh.vertices if vertices is None else np.asarray(vertices, dtype=np.float64)
-    m, norm = accumulated_normals(v, mesh.faces)
+    m, norm = accumulated_normals(mesh.vertices, mesh.faces)
     return m / norm[:, None]
 
 
@@ -171,16 +167,15 @@ def _laplacian(e, n):
     return lap
 
 
-def mean_curvature(mesh, vertices=None):
+def mean_curvature(mesh):
     """Per-vertex mean-curvature estimate (1/mm).
 
     ``H_i = -1/2 (L v)_i . n_i`` with the uniform graph Laplacian and
     area-weighted vertex normals.  Exactly invariant under translation
     (Laplacian rows sum to zero) and under rotation (both factors rotate).
     """
-    v = mesh.vertices if vertices is None else np.asarray(vertices, dtype=np.float64)
-    lv = graph_laplacian(mesh) @ v
-    n = vertex_normals(mesh, v)
+    lv = graph_laplacian(mesh) @ mesh.vertices
+    n = vertex_normals(mesh)
     return -0.5 * np.einsum("ij,ij->i", lv, n)
 
 
@@ -242,10 +237,10 @@ class ChamberSet:
             k += n
         return ChamberSet(out)
 
-    def transformed(self, rotation=None, translation=None, scale=1.0):
+    def transformed(self, rotation=None, translation=None):
         r = np.eye(3) if rotation is None else np.asarray(rotation, dtype=np.float64)
         t = np.zeros(3) if translation is None else np.asarray(translation, dtype=np.float64)
-        return self.with_all_vertices(scale * self.all_vertices() @ r.T + t)
+        return self.with_all_vertices(self.all_vertices() @ r.T + t)
 
 
 class MeshSequence:
@@ -275,20 +270,6 @@ class MeshSequence:
         return {
             s: np.stack([fr[s].vertices for fr in self.frames]) for s in STRUCTURES
         }
-
-    def with_stacked(self, coords):
-        """Rebuild with new coordinates from a ``stacked()``-shaped dict."""
-        frames = []
-        for t in range(self.n_frames):
-            frames.append(
-                ChamberSet(
-                    {
-                        s: self.frames[t][s].with_vertices(coords[s][t])
-                        for s in STRUCTURES
-                    }
-                )
-            )
-        return MeshSequence(frames)
 
     def topology(self):
         return Topology.from_chamber_set(self.frames[0], self.n_frames)
@@ -396,18 +377,17 @@ def devectorize(coords, topology):
     return MeshSequence(frames)
 
 
-def rigid_align(source, target, allow_scale=False):
-    """Least-squares rigid (optionally similarity) alignment of two hearts.
+def rigid_align(source, target):
+    """Least-squares rigid alignment of two hearts.
 
     Point correspondence is given by vertex index; all structures are pooled.
-    Solves ``argmin sum ||s R x + t - y||^2`` (Kabsch/Umeyama) with
-    ``det(R) = +1``; ``s = 1`` unless ``allow_scale``.
+    Solves ``argmin sum ||R x + t - y||^2`` (Kabsch/Umeyama) with
+    ``det(R) = +1``.
 
     Returns
     -------
     rotation : ndarray (3, 3)
     translation : ndarray (3,)
-    scale : float
     aligned : ChamberSet
         ``source`` mapped by the recovered transform.
     """
@@ -423,14 +403,10 @@ def rigid_align(source, target, allow_scale=False):
     if var_x < 1e-12:
         raise ValueError("degenerate source: all points coincident")
     cov = xc.T @ yc
-    u, s, vt = np.linalg.svd(cov)
+    u, _, vt = np.linalg.svd(cov)
     d = np.sign(np.linalg.det(vt.T @ u.T))
     flip = np.diag([1.0, 1.0, d])
     rot = vt.T @ flip @ u.T
-    if allow_scale:
-        scale = float((s * np.diag(flip)).sum() / var_x)
-    else:
-        scale = 1.0
-    trans = my - scale * rot @ mx
-    aligned = source.transformed(rotation=rot, translation=trans, scale=scale)
-    return rot, trans, scale, aligned
+    trans = my - rot @ mx
+    aligned = source.transformed(rotation=rot, translation=trans)
+    return rot, trans, aligned

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .objectives import pearson_r
+from .objectives import dice, pearson_r
 
 IRLS_FLOOR = 1e-3  # IRLS weight 1 / max(|r|, IRLS_FLOOR)
 MU_START, MU_DOWN, MU_UP = 1e-3, 3.0, 10.0  # Levenberg-Marquardt damping
@@ -352,13 +352,6 @@ def eval_intersections(views):
 
 def _label_dice(la, lb):
     """Mean Dice over all foreground labels present in either sample."""
-    labels = np.union1d(np.unique(la), np.unique(lb))
-    labels = labels[labels != 0]
-    scores = []
-    for lab in labels:
-        ma = la == lab
-        mb = lb == lab
-        denom = int(ma.sum()) + int(mb.sum())
-        if denom:
-            scores.append(2.0 * int((ma & mb).sum()) / denom)
+    labels = np.union1d(la, lb)
+    scores = [dice(la, lb, lab) for lab in labels[labels != 0]]
     return float(np.mean(scores)) if scores else 1.0

@@ -6,7 +6,7 @@ volume.  LV mass uses the epi-minus-endo shell at ED with the conventional
 myocardial density of 1.05 g/mL.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,14 +38,7 @@ class PhenotypeTable:
     LVWT_mean: float
     LVWT_max: float
 
-    COLUMNS = (
-        "LVM", "LVEDV", "LVESV", "RVEDV", "RVESV",
-        "LAMAXV", "LAMINV", "RAMAXV", "RAMINV",
-        "LVSV", "RVSV", "LASV", "RASV",
-        "LVEF", "RVEF", "LAEF", "RAEF",
-        "LVWT_mean", "LVWT_max",
-    )
-
+    # one per field, in field order
     UNITS = (
         "g", "mL", "mL", "mL", "mL",
         "mL", "mL", "mL", "mL",
@@ -55,7 +48,7 @@ class PhenotypeTable:
     )
 
     def as_row(self):
-        return [getattr(self, c) for c in self.COLUMNS]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def _volumes(mesh, frames):

@@ -52,8 +52,9 @@ class FeatureMatrix:
 
 def truncate_descriptor(features, n_pcs):
     """Keep only the first ``n_pcs`` (variance-ordered) descriptor columns."""
-    if n_pcs > features.raw.shape[1]:
-        raise ValueError("n_pcs exceeds the feature count")
+    n_features = features.raw.shape[1]
+    if not 1 <= n_pcs <= n_features:
+        raise ValueError(f"n_pcs {n_pcs} must lie in 1..{n_features}, the column count")
     return FeatureMatrix(features.raw[:, :n_pcs])
 
 
@@ -80,12 +81,13 @@ def signed_variation(seq, mean_seq):
     return total / seq.n_frames
 
 
-def vertex_correlation(fields, attribute, alpha=0.05):
+def vertex_correlation(fields, attribute):
     """Per-vertex Pearson correlation with an attribute plus a Bonferroni
     significance mask.
 
-    ``fields`` is (n_subjects, n_vertices).  Zero-variance vertices get
-    r = 0 and are marked insignificant.  Returns ``(r, p, significant)``.
+    ``fields`` is (n_subjects, n_vertices).  A vertex is significant when
+    p < α / n_vertices with α = 0.05.  Zero-variance vertices get r = 0 and
+    are marked insignificant.  Returns ``(r, p, significant)``.
     """
     fields = np.asarray(fields, dtype=np.float64)
     attribute = np.asarray(attribute, dtype=np.float64)
@@ -109,36 +111,26 @@ def vertex_correlation(fields, attribute, alpha=0.05):
         t = r[ok] * np.sqrt((n - 2) / np.maximum(1.0 - r[ok] ** 2, 1e-300))
     # two-sided t tail: the bits of stats.t.sf without importing scipy.stats
     p[ok] = 2.0 * stdtr(n - 2, -np.abs(t))
-    significant = ok & (p < alpha / n_vertices)
+    significant = ok & (p < 0.05 / n_vertices)
     return r, p, significant
 
 
-def knn_retrieve(features, query, k, exclude_self=None):
+def knn_retrieve(features, query, k):
     """Indices of the k nearest subjects in z-scored Euclidean distance.
 
-    ``query`` is either a subject index (``exclude_self`` defaults to True)
-    or a raw feature vector (defaults to False).  Distance ties break toward
-    the lower index.
+    ``query`` is either a subject index, which is never among its own
+    results, or a raw feature vector, which ranks every stored row.
+    Distance ties break toward the lower index.
     """
     if not 1 <= k < features.n_subjects + 1:
         raise ValueError("k must satisfy 1 <= k <= subject count")
     if np.isscalar(query) or isinstance(query, (int, np.integer)):
-        q = features.z[int(query)]
-        self_index = int(query)
-        if exclude_self is None:
-            exclude_self = True
+        d = np.linalg.norm(features.z - features.z[int(query)], axis=1)
+        d[int(query)] = np.inf
+        if k == features.n_subjects:
+            raise ValueError("k exceeds the number of candidates")
     else:
-        q = features.standardize(query)
-        self_index = None
-        if exclude_self is None:
-            exclude_self = False
-    d = np.linalg.norm(features.z - q, axis=1)
-    if exclude_self:
-        if self_index is None:
-            raise ValueError("exclude_self needs a subject-index query")
-        d[self_index] = np.inf
-    if k > features.n_subjects - int(bool(exclude_self)):
-        raise ValueError("k exceeds the number of candidates")
+        d = np.linalg.norm(features.z - features.standardize(query), axis=1)
     order = np.argsort(d, kind="stable")
     return order[:k]
 
@@ -156,7 +148,7 @@ def precision_at_k(features, groups, k, n_queries=5000, seed=0):
     queries = rng.integers(0, features.n_subjects, size=n_queries)
     hits = 0.0
     for q in queries:
-        idx = knn_retrieve(features, int(q), k, exclude_self=True)
+        idx = knn_retrieve(features, int(q), k)
         hits += float(np.mean(groups[idx] == groups[q]))
     return 100.0 * hits / n_queries
 
@@ -175,8 +167,6 @@ def recall_at_k(features_t1, features_t2, k):
     n = features_t1.n_subjects
     found = 0
     for i in range(n):
-        idx = knn_retrieve(
-            features_t1, features_t2.raw[i], k, exclude_self=False
-        )
+        idx = knn_retrieve(features_t1, features_t2.raw[i], k)
         found += int(i in idx)
     return 100.0 * found / n

@@ -20,6 +20,7 @@ from .mesh import (
     TriMesh,
     inflate_along_normals,
     mean_curvature,
+    vertex_normals,
 )
 from .motion import SlicePlane, ViewSet
 
@@ -190,9 +191,7 @@ def make_template(cfg=None):
 def _mode_fields(template, cfg, rng):
     """Smooth bump displacement fields along template normals, (m, |V|, 3)."""
     pooled = template.all_vertices()
-    normals = np.concatenate(
-        [_template_normals(template, s) for s in STRUCTURES]
-    )
+    normals = np.concatenate([vertex_normals(template[s]) for s in STRUCTURES])
     fields = np.zeros((cfg.n_modes, len(pooled), 3))
     centers = pooled[rng.integers(0, len(pooled), size=cfg.n_modes)]
     sigma = 25.0
@@ -200,12 +199,6 @@ def _mode_fields(template, cfg, rng):
         g = np.exp(-np.sum((pooled - centers[m]) ** 2, axis=1) / (2 * sigma**2))
         fields[m] = g[:, None] * normals
     return fields
-
-
-def _template_normals(template, s):
-    from .mesh import vertex_normals
-
-    return vertex_normals(template[s])
 
 
 def _motion_factor(s, t, n_frames, amplitude):
@@ -296,15 +289,15 @@ class VolumeGeometry:
         return cls(origin, np.full(3, float(voxel_size)), dims)
 
     @classmethod
-    def for_bounds(cls, lo, hi, voxel_size, margin=4.0):
-        """Grid that covers [lo, hi] with a world-space margin."""
-        lo = np.asarray(lo, dtype=np.float64) - margin
-        hi = np.asarray(hi, dtype=np.float64) + margin
+    def for_bounds(cls, lo, hi, voxel_size):
+        """Grid that covers [lo, hi] with a 4 mm world-space margin."""
+        lo = np.asarray(lo, dtype=np.float64) - 4.0
+        hi = np.asarray(hi, dtype=np.float64) + 4.0
         dims = tuple(int(np.ceil((h - l) / voxel_size)) + 1 for l, h in zip(lo, hi))
         return cls(lo, np.full(3, float(voxel_size)), dims)
 
     @classmethod
-    def for_population(cls, sequences, voxel_size, margin=4.0):
+    def for_population(cls, sequences, voxel_size):
         los = []
         his = []
         for seq in sequences:
@@ -312,9 +305,7 @@ class VolumeGeometry:
                 pts = frame.all_vertices()
                 los.append(pts.min(axis=0))
                 his.append(pts.max(axis=0))
-        return cls.for_bounds(
-            np.min(los, axis=0), np.max(his, axis=0), voxel_size, margin
-        )
+        return cls.for_bounds(np.min(los, axis=0), np.max(his, axis=0), voxel_size)
 
     def centers(self, axis):
         return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])
@@ -418,21 +409,23 @@ def voxelize_sequence(seq, geometry):
 _LABEL_INTENSITY = np.array([0.0, 1.0, 0.55, 0.85, 0.45, 0.7])
 
 
-def intensity_volume(labels, smooth_voxels=1.2, texture=None):
-    """Smooth synthetic intensity volume derived from a label volume.
+def intensity_volume(labels, texture=None):
+    """Smooth synthetic intensity volume: label intensities blurred by a
+    Gaussian of 1.2 voxels.
 
     ``texture`` (same shape) is added after smoothing; a static texture
     shared by all frames plays the role of surrounding stationary tissue and
     anchors in-plane alignment away from the moving structures.
     """
-    base = gaussian_filter(_LABEL_INTENSITY[labels], sigma=smooth_voxels)
+    base = gaussian_filter(_LABEL_INTENSITY[labels], sigma=1.2)
     if texture is not None:
         base = base + texture
     return base
 
 
-def make_texture(dims, rng, smooth_voxels=2.5, amplitude=0.4):
-    """Smooth random intensity texture for :func:`intensity_volume`.
+def make_texture(dims, rng):
+    """Smooth random intensity texture for :func:`intensity_volume`: noise
+    blurred by a Gaussian of 2.5 voxels, peak 0.4.
 
     The texture is linear along z (a 2-D base pattern plus a z-ramped 2-D
     pattern), so its through-stack second difference vanishes for aligned
@@ -441,14 +434,14 @@ def make_texture(dims, rng, smooth_voxels=2.5, amplitude=0.4):
     """
 
     def field():
-        noise = gaussian_filter(rng.normal(size=dims[:2]), sigma=smooth_voxels)
+        noise = gaussian_filter(rng.normal(size=dims[:2]), sigma=2.5)
         peak = np.abs(noise).max()
         return noise / peak if peak > 0 else noise
 
     a = field()
     b = field()
     z = np.linspace(-1.0, 1.0, dims[2])
-    return amplitude * (a[:, :, None] + b[:, :, None] * z[None, None, :])
+    return 0.4 * (a[:, :, None] + b[:, :, None] * z[None, None, :])
 
 
 @dataclass

@@ -287,9 +287,11 @@ class TestPoseConvention:
         template = toy_chamber_set()
         rng = np.random.default_rng(3)
         seq = toy_sequence(3, motion=lambda t: (2.0 * t, -t, 0.5 * t))
-        seq = seq.with_stacked(
-            {s: v + rng.normal(0.0, 0.3, v.shape) for s, v in seq.stacked().items()}
+        # noise in stacked() order, laid out as vectorize() lays out coordinates
+        noise = np.concatenate(
+            [rng.normal(0.0, 0.3, v.shape) for v in seq.stacked().values()], axis=1
         )
+        seq = devectorize(vectorize(seq) + noise.ravel(), seq.topology())
         expected = vectorize(_to_model_space(seq, template))
         got = vectorize(_to_model_space(_moved(seq, angles, shift), template))
         assert np.abs(got - expected).max() < 1e-8
@@ -344,6 +346,47 @@ class TestExitCodes:
         assert rc == 2
         assert str(attributes) in capsys.readouterr().err
         assert not (tmp_path / "corr" / "correlation.csv").exists()
+
+    @pytest.mark.parametrize("attribute", ["f9", "-1", "age", "f4"])
+    def test_corr_attribute_out_of_range_exit_2(
+        self, synth_dir, model_dir, tmp_path, capsys, attribute
+    ):
+        attributes = tmp_path / "attributes.csv"
+        cio.save_features_csv(attributes, np.random.default_rng(0).normal(size=(3, 4)))
+        rc = main(
+            [
+                "corr", "--data", str(synth_dir), "--model", str(model_dir / "model.hssm"),
+                "--template", str(synth_dir / "template"), "--attributes", str(attributes),
+                "--attribute", attribute, "--out", str(tmp_path / "corr"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--attribute" in err and str(attributes) in err and "4 columns" in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("retrieve", "--pcs", "-1"),
+            ("retrieve", "--pcs", "0"),
+            ("retrieve", "--pcs", "5"),
+            ("retrieve", "--queries", "0"),
+            ("retrieve", "--queries", "-5"),
+            ("reid", "--pcs", "-1"),
+            ("reid", "--pcs", "0"),
+        ],
+    )
+    def test_descriptor_flag_out_of_range_exit_2(self, tmp_path, capsys, command, flag, value):
+        features = str(tmp_path / "f.csv")
+        cio.save_features_csv(features, np.random.default_rng(0).normal(size=(20, 4)))
+        cio.save_groups_csv(tmp_path / "g.csv", ["x", "y"] * 10)
+        inputs = {
+            "retrieve": ["--features", features, "--groups", str(tmp_path / "g.csv")],
+            "reid": ["--features-t1", features, "--features-t2", features],
+        }[command]
+        rc = main([command, *inputs, "--k", "1", flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
 
     def test_non_finite_views_exit_2(self, synth_dir, tmp_path, capsys):
         views = cio.load_views(synth_dir / "subject_000" / "views.bin")

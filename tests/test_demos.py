@@ -1,5 +1,4 @@
-"""The motion-correction, shape-model and population demos run to completion
-as scripts."""
+"""Every demo runs to completion as a script."""
 
 import os
 import subprocess
@@ -11,9 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "demo", ["03_motion_correction.py", "05_shape_model.py", "06_phenotypes_and_population.py"]
-)
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_exits_0(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

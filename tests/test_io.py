@@ -57,7 +57,9 @@ class TestObjSequences:
         assert np.array_equal(back.vertices, verts)
         assert np.signbit(back.vertices[0, 0])
 
-    @pytest.mark.parametrize("record", ["v 1 abc 3", "v 1 2", "f 1 2", "f 1 x 3"])
+    @pytest.mark.parametrize(
+        "record", ["v 1 abc 3", "v 1 2", "f 1 2", "f 1 x 3", "f 1 2 3 4", "f -3 -2 -1"]
+    )
     def test_malformed_obj_record_names_file_and_line(self, tmp_path, record):
         path = tmp_path / "m.obj"
         path.write_text(f"# mesh\nv 0 0 0\nv 1 0 0\n\nv 0 1 0\n{record}\nf 1 2 3\n")

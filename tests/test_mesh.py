@@ -130,7 +130,7 @@ class TestMeanCurvature:
     def test_icosphere_sign_consistent_and_scales(self, icosphere3):
         h1 = mean_curvature(icosphere3)
         assert (h1 > 0).all() or (h1 < 0).all()
-        h2 = mean_curvature(icosphere3, vertices=2.0 * icosphere3.vertices)
+        h2 = mean_curvature(icosphere3.with_vertices(2.0 * icosphere3.vertices))
         assert abs(pearson_r(h1, h2) - 1.0) < 1e-9
 
     def test_flat_grid_interior_zero(self):
@@ -161,7 +161,7 @@ class TestMeanCurvature:
         rot = random_rotation(rng)
         for s in STRUCTURES:
             moved = template[s].vertices @ rot.T + [7.0, -3.0, 11.0]
-            h = mean_curvature(template[s], vertices=moved)
+            h = mean_curvature(template[s].with_vertices(moved))
             assert abs(pearson_r(h, curv[s]) - 1.0) < 1e-9
 
 
@@ -215,31 +215,24 @@ class TestRigidAlign:
             rot = random_rotation(rng)
             t = rng.normal(0, 20, 3)
             target = source.transformed(rotation=rot, translation=t)
-            r_hat, t_hat, s_hat, aligned = rigid_align(source, target)
+            r_hat, t_hat, aligned = rigid_align(source, target)
             assert np.abs(r_hat - rot).max() < 1e-9
             assert np.abs(t_hat - t).max() < 1e-9
-            assert s_hat == 1.0
             assert (
                 np.abs(aligned.all_vertices() - target.all_vertices()).max() < 1e-9
             )
 
     def test_identity(self):
         source = toy_chamber_set()
-        r, t, s, _ = rigid_align(source, source)
+        r, t, _ = rigid_align(source, source)
         assert np.abs(r - np.eye(3)).max() < 1e-12
         assert np.abs(t).max() < 1e-12
-
-    def test_scale_recovered(self):
-        source = toy_chamber_set()
-        target = source.transformed(scale=2.0)
-        _, _, s, _ = rigid_align(source, target, allow_scale=True)
-        assert abs(s - 2.0) < 1e-9
 
     def test_rotation_is_proper(self):
         rng = np.random.default_rng(2)
         source = toy_chamber_set()
         reflected = source.transformed(rotation=np.diag([-1.0, 1.0, 1.0]))
-        r, _, _, _ = rigid_align(source, reflected)
+        r, _, _ = rigid_align(source, reflected)
         assert np.linalg.det(r) > 0
 
     def test_degenerate_errors(self):

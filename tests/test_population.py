@@ -109,13 +109,13 @@ class TestKnnRetrieve:
     def test_stored_row_first_without_exclusion(self):
         rng = np.random.default_rng(4)
         feats = FeatureMatrix(rng.normal(size=(30, 5)))
-        idx = knn_retrieve(feats, 13, 3, exclude_self=False)
+        idx = knn_retrieve(feats, feats.raw[13], 3)
         assert idx[0] == 13
 
     def test_exhaustive_sort_oracle_1d(self):
         values = np.array([[0.0], [1.0], [4.0], [4.5], [10.0]])
         feats = FeatureMatrix(values)
-        got = knn_retrieve(feats, np.array([4.2]), 5, exclude_self=False)
+        got = knn_retrieve(feats, np.array([4.2]), 5)
         z = (values[:, 0] - values.mean()) / values.std()
         zq = (4.2 - values.mean()) / values.std()
         expected = np.argsort(np.abs(z - zq), kind="stable")
@@ -134,13 +134,13 @@ class TestKnnRetrieve:
     def test_tie_breaks_to_lower_index(self):
         values = np.array([[0.0], [1.0], [-1.0], [2.0]])
         feats = FeatureMatrix(values)
-        idx = knn_retrieve(feats, np.array([0.0]), 3, exclude_self=False)
+        idx = knn_retrieve(feats, np.array([0.0]), 3)
         assert idx[0] == 0 and idx[1] == 1 and idx[2] == 2
 
     def test_k_validated(self):
         feats = FeatureMatrix(np.random.default_rng(6).normal(size=(10, 2)))
         with pytest.raises(ValueError):
-            knn_retrieve(feats, 0, 10, exclude_self=True)
+            knn_retrieve(feats, 0, 10)
 
 
 class TestPrecisionAtK:
@@ -222,8 +222,9 @@ class TestTruncateDescriptor:
 
     def test_too_many_pcs_rejected(self):
         feats = FeatureMatrix(np.random.default_rng(16).normal(size=(10, 3)))
-        with pytest.raises(ValueError):
-            truncate_descriptor(feats, 4)
+        for n_pcs in (4, 0, -1):
+            with pytest.raises(ValueError, match="must lie in 1..3"):
+                truncate_descriptor(feats, n_pcs)
 
 
 class TestFeatureMatrix:

@@ -399,9 +399,7 @@ class TestCompleteSequence:
         pop, _, model = trained_population
         observed = np.zeros(model.topology.n_frames, dtype=bool)
         observed[[0, 3]] = True
-        placeholder = pop.sequences[50].with_stacked(
-            {s: np.zeros_like(v) for s, v in pop.sequences[50].stacked().items()}
-        )
+        placeholder = devectorize(np.zeros(model.topology.vector_length), model.topology)
         frames = [
             pop.sequences[50][t] if observed[t] else placeholder[t]
             for t in range(model.topology.n_frames)
