@@ -8,7 +8,7 @@ import numpy as np
 
 from cardioshape import synth
 from cardioshape.mesh import STRUCTURES, mean_curvature, vectorize, vertex_normals
-from cardioshape.objectives import LossWeights, TargetClouds, total_loss
+from cardioshape.objectives import TargetClouds, total_loss
 
 cfg = synth.SynthConfig(scale=0.05, n_frames=8, seed=1)
 template, curvatures = synth.make_template(cfg)
@@ -41,7 +41,7 @@ targets = TargetClouds.from_sequence(subject)
 # the losses take every frame's pooled vertices as one (T, V, 3) array plus
 # the connectivity the frames share, and return one (T, V, 3) gradient
 x = vectorize(subject).reshape(subject.n_frames, -1, 3)
-value, grad, terms = total_loss(x, subject.topology(), targets, LossWeights(), pop.curvatures)
+value, grad, terms = total_loss(x, subject.topology(), targets, pop.curvatures)
 print("\nObjective of a subject against its own vertices (recon term is 0):")
 for name, term in terms.items():
     print(f"  {name:6s} {term:10.6f}")

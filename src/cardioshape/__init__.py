@@ -18,7 +18,6 @@ from .mesh import (
 )
 from .motion import SlicePlane, ViewSet, eval_intersections, mc_objective, mc_optimize
 from .objectives import (
-    LossWeights,
     TargetClouds,
     dice,
     pearson_r,

@@ -6,6 +6,7 @@ tolerances against independent oracles, and reports pass/fail with details.
 acceptance`` runs them standalone and writes a report.
 """
 
+import hashlib
 import shutil
 import tempfile
 import time
@@ -13,13 +14,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import subspace_angles
 from scipy.spatial import distance_matrix
 
 from . import io as cio
 from . import ssm as cssm
 from .ffd import ControlGrid, compose_warp, compose_warp_gradient, warp_gradient, warp_points
 from .fitting import FitConfig, fit_sequence
-from .mesh import STRUCTURES, MeshSequence, TriMesh, devectorize, vectorize
+from .mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh, devectorize, vectorize
 from .motion import eval_intersections, mc_optimize
 from .objectives import (
     TargetClouds,
@@ -346,8 +348,6 @@ def criterion_4_fit():
 def criterion_5_ipca():
     """Streaming PCA matches the batch oracle on a rank-10 dataset."""
     t0 = time.time()
-    from scipy.linalg import subspace_angles
-
     rng = _rng(505)
     basis = np.linalg.qr(rng.normal(size=(40, 10)))[0]
     scores = rng.normal(size=(500, 10)) * np.linspace(5, 0.5, 10)
@@ -490,8 +490,6 @@ def _contracted(chambers, factor):
         v = chambers[s].vertices
         center = v.mean(axis=0)
         out[s] = chambers[s].with_vertices(center + factor * (v - center))
-    from .mesh import ChamberSet
-
     return ChamberSet(out)
 
 
@@ -531,8 +529,6 @@ def criterion_8_phenotypes():
     inner = icosphere(4)
     meshes["LV-endo"] = TriMesh(inner.vertices * 30.0, inner.faces, "LV-endo")
     meshes["LV-epi"] = TriMesh(inner.vertices * 40.0, inner.faces, "LV-epi")
-    from .mesh import ChamberSet
-
     shell = ChamberSet(meshes)
     static = MeshSequence([shell] * 3)
     table = phenotype_table(static)
@@ -637,7 +633,7 @@ def criterion_9_population():
 def criterion_10_end_to_end(workdir=None):
     """Full CLI pipeline twice with one seed: artifacts must be byte-identical."""
     t0 = time.time()
-    from .cli import main as cli_main
+    from .cli import main as cli_main  # lazy: cli imports this module for eval
 
     base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="cardio_e2e_"))
     base.mkdir(parents=True, exist_ok=True)
@@ -713,8 +709,6 @@ def criterion_10_end_to_end(workdir=None):
         )
         if rc != 0:
             return _result(10, "end-to-end determinism", False, f"CLI exit {rc}", t0)
-        import hashlib
-
         tree = {}
         for path in sorted(root.rglob("*")):
             if path.is_file():

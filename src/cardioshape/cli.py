@@ -1,7 +1,9 @@
 """Command-line front end tying the pipeline stages together.
 
 Every subcommand accepts --seed, --config <json file> and --out <dir>.
-Config values fill in defaults for flags not given explicitly.  Exit codes:
+A config file is a JSON object whose keys name the subcommand's flags; its
+values replace the flags' defaults, so a flag given on the command line
+wins.  A key that names no flag of the subcommand is rejected.  Exit codes:
 0 success, 2 validation error (bad flags or bad input files), 1 runtime
 failure.
 """
@@ -16,9 +18,9 @@ import numpy as np
 from . import io as cio
 from . import ssm as cssm
 from .fitting import FitConfig, fit_sequence
-from .mesh import MeshSequence, Topology, devectorize, rigid_align, vectorize
+from .mesh import STRUCTURES, MeshSequence, Topology, devectorize, rigid_align, vectorize
 from .motion import eval_intersections, mc_optimize
-from .objectives import LossWeights, TargetClouds
+from .objectives import TargetClouds, surface_distances
 from .phenotypes import phenotype_table
 from .population import (
     FeatureMatrix,
@@ -54,26 +56,28 @@ def _add_common(p):
     p.set_defaults(_subparser=p)
 
 
-def _apply_config(args):
-    """Fill flags still at their parser defaults from the config file.
-
-    Explicitly passed flags always win; a flag explicitly set to its default
-    value is indistinguishable from an omitted one and may be overridden.
-    """
+def _apply_config(parser, args, argv):
+    """Parse ``argv`` again with the config file's values as the subcommand's
+    defaults, so that flags given explicitly still win."""
     if args.config is None:
         return args
     try:
         values = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise cio.ValidationError(f"cannot read config {args.config}: {exc}")
-    defaults = {
-        action.dest: action.default for action in args._subparser._actions
-    }
+    if not isinstance(values, dict):
+        raise cio.ValidationError(f"config {args.config}: not a JSON object")
+    flags = {action.dest for action in args._subparser._actions} - {"help"}
+    defaults = {}
     for key, value in values.items():
         dest = key.replace("-", "_")
-        if dest in defaults and getattr(args, dest, None) == defaults[dest]:
-            setattr(args, dest, value)
-    return args
+        if dest not in flags:
+            raise cio.ValidationError(
+                f"config {args.config}: {key!r} is not a flag of {args.command}"
+            )
+        defaults[dest] = value
+    args._subparser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _rng(seed):
@@ -155,7 +159,6 @@ def cmd_fit(args):
     template = cio.load_chamber_set(args.template)
     targets = cio.load_target_clouds(args.targets)
     cfg = FitConfig(
-        weights=LossWeights(),
         dims_coarse=tuple(args.dims_coarse),
         dims_mid=tuple(args.dims_mid),
         dims_fine=tuple(args.dims_fine),
@@ -167,13 +170,7 @@ def cmd_fit(args):
     out.mkdir(parents=True, exist_ok=True)
     cio.save_sequence(out / "meshes", seq)
     cio.save_grids(out / "grids.bin", [grids["coarse"], grids["mid"]] + grids["fine"])
-    lines = ["stage,iteration,loss\n"]
-    for stage, it, loss in trace:
-        lines.append(f"{stage},{it},{loss:.17g}\n")
-    (out / "loss_trace.csv").write_text("".join(lines))
-    from .mesh import STRUCTURES
-    from .objectives import surface_distances
-
+    cio.save_csv(out / "loss_trace.csv", ["stage", "iteration", "loss"], trace)
     rows = []
     subject = Path(args.out).name
     for t in range(seq.n_frames):
@@ -343,6 +340,16 @@ def _truncated(features, pcs):
 def cmd_retrieve(args):
     _, values = cio.load_features_csv(args.features)
     _, groups = cio.load_groups_csv(args.groups)
+    n = len(values)
+    if len(groups) != n:
+        raise cio.ValidationError(
+            f"--groups {args.groups}: {len(groups)} rows for the {n} subjects in {args.features}"
+        )
+    # a subject is never among its own candidates
+    if not 1 <= args.k <= n - 1:
+        raise cio.ValidationError(
+            f"--k {args.k}: {args.features} has {n} subjects, so give 1 <= k <= {n - 1}"
+        )
     if args.queries < 1:
         raise cio.ValidationError(f"--queries {args.queries}: must be >= 1")
     features = _truncated(FeatureMatrix(values), args.pcs)
@@ -361,6 +368,11 @@ def cmd_retrieve(args):
 def cmd_reid(args):
     _, v1 = cio.load_features_csv(args.features_t1)
     _, v2 = cio.load_features_csv(args.features_t2)
+    n = len(v1)
+    if not 1 <= args.k <= n:
+        raise cio.ValidationError(
+            f"--k {args.k}: {args.features_t1} has {n} subjects, so give 1 <= k <= {n}"
+        )
     f1 = _truncated(FeatureMatrix(v1), args.pcs)
     f2 = _truncated(FeatureMatrix(v2), args.pcs)
     recall = recall_at_k(f1, f2, args.k)
@@ -371,7 +383,7 @@ def cmd_reid(args):
 
 
 def cmd_eval(args):
-    from . import acceptance
+    from . import acceptance  # lazy: acceptance imports cli, and only eval needs it
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -490,7 +502,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args)
+        args = _apply_config(parser, args, argv)
         return args.func(args)
     except cio.ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

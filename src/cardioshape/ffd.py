@@ -58,11 +58,6 @@ class ControlGrid:
         self.spacing = spacing
         self.displacements = displacements
 
-    def copy(self):
-        return ControlGrid(
-            self.dims, self.origin, self.spacing, self.displacements.copy()
-        )
-
     @classmethod
     def for_box(cls, lo, hi, dims):
         """Lattice whose fully supported cells cover the box [lo, hi].

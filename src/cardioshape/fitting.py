@@ -8,13 +8,13 @@ the temporal and cycle terms can act.  The output sequence keeps the
 template connectivity exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ffd import ControlGrid, pull_back, weights
 from .mesh import STRUCTURES, MeshSequence, Topology, mean_curvature
-from .objectives import LossWeights, total_loss
+from .objectives import total_loss
 from .optim import descend
 
 LR_FINAL_FRAC = 0.05
@@ -22,7 +22,6 @@ LR_FINAL_FRAC = 0.05
 
 @dataclass
 class FitConfig:
-    weights: LossWeights = field(default_factory=LossWeights)
     dims_coarse: tuple = (6, 6, 8)
     dims_mid: tuple = (12, 12, 16)
     dims_fine: tuple = (24, 24, 32)
@@ -95,7 +94,7 @@ def fit_sequence(template, targets, cfg=None):
     trace = []
 
     def loss(x, clouds):
-        return total_loss(x, topology, clouds, cfg.weights, template_curvatures)
+        return total_loss(x, topology, clouds, template_curvatures)
 
     # Stage 1: global grids against the first frame.
     frame1 = targets.frame(0)

@@ -13,12 +13,18 @@ rejected.  Every loader error is a ValidationError that names the file.
 
 import json
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .ffd import ControlGrid
 from .mesh import STRUCTURES, ChamberSet, MeshSequence, Topology, TriMesh
+from .motion import SlicePlane, ViewSet
+from .objectives import TargetClouds
+from .phenotypes import PhenotypeTable
+from .ssm import ShapeModel
+from .synth import VolumeGeometry
 
 
 class ValidationError(Exception):
@@ -190,8 +196,6 @@ def save_volume(path, frames, geometry):
 
 
 def load_volume(path):
-    from .synth import VolumeGeometry
-
     keys = ("dims", "spacing", "origin", "dtype", "frames")
     with _container(path, "volume", keys) as (header, take):
         if header["dtype"] not in _VOLUME_DTYPES:
@@ -213,8 +217,6 @@ _PLANE_SHAPE_KEYS = ("frames", "height", "width", "has_label")
 
 
 def save_views(path, views):
-    from .motion import ViewSet
-
     assert isinstance(views, ViewSet)
     planes = views.planes()
     roles = ["sax"] * len(views.sax) + ["la_2ch", "la_4ch"]
@@ -244,8 +246,6 @@ def save_views(path, views):
 
 
 def load_views(path):
-    from .motion import SlicePlane, ViewSet
-
     sax = []
     la = {}
     with _container(path, "views", ("planes",)) as (header, take):
@@ -289,8 +289,6 @@ def save_target_clouds(path, targets):
 
 
 def load_target_clouds(path):
-    from .objectives import TargetClouds
-
     with _container(path, "target-cloud", ("structures", "counts")) as (header, take):
         frames = [
             {
@@ -334,8 +332,6 @@ def load_model(path, template=None):
     Given the template ChamberSet, the model's topology is built from it and
     the header's frame count, and must match the stored digest.
     """
-    from .ssm import ShapeModel
-
     with _container(path, "model") as (_, take):
         head = take(_HSSM_HEAD, 1, "model header")
         magic, version, digest, t, n_vertices, m, k, n_seen, sq_dev = head.tolist()[0]
@@ -401,51 +397,43 @@ def load_grids(path):
 # CSV and JSON emitters
 
 
-def save_phenotype_csv(path, tables, subject_ids=None):
-    from dataclasses import fields
+def save_csv(path, header, rows):
+    """``header`` then one line per row, fields joined by commas: floats as
+    %.17g, every other field as ``str`` renders it."""
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        cells = [_fmt(x) if isinstance(x, (float, np.floating)) else str(x) for x in row]
+        lines.append(",".join(cells) + "\n")
+    Path(path).write_text("".join(lines))
 
-    from .phenotypes import PhenotypeTable
 
+def save_phenotype_csv(path, tables, subject_ids):
     header = ["subject_id"] + [
         f"{f.name} ({u})" for f, u in zip(fields(PhenotypeTable), PhenotypeTable.UNITS)
     ]
-    lines = [",".join(header) + "\n"]
-    for i, table in enumerate(tables):
-        sid = str(i) if subject_ids is None else str(subject_ids[i])
-        lines.append(
-            ",".join([sid] + [_fmt(x) for x in table.as_row()]) + "\n"
-        )
-    Path(path).write_text("".join(lines))
+    rows = [[sid] + table.as_row() for sid, table in zip(subject_ids, tables, strict=True)]
+    save_csv(path, header, rows)
 
 
 def save_metric_csv(path, rows):
     """Rows of (subject_id, frame, structure, metric, value)."""
-    lines = ["subject_id,frame,structure,metric,value\n"]
-    for sid, frame, structure, metric, value in rows:
-        lines.append(f"{sid},{frame},{structure},{metric},{_fmt(value)}\n")
-    Path(path).write_text("".join(lines))
+    save_csv(path, ["subject_id", "frame", "structure", "metric", "value"], rows)
 
 
 def save_correlation_csv(path, topology, r, p, significant):
-    lines = ["vertex_id,structure,r,p,significant\n"]
+    rows = []
     vid = 0
     for s in STRUCTURES:
         for _ in range(topology.counts[s]):
-            lines.append(
-                f"{vid},{s},{_fmt(r[vid])},{_fmt(p[vid])},{int(significant[vid])}\n"
-            )
+            rows.append((vid, s, r[vid], p[vid], int(significant[vid])))
             vid += 1
-    Path(path).write_text("".join(lines))
+    save_csv(path, ["vertex_id", "structure", "r", "p", "significant"], rows)
 
 
-def save_features_csv(path, values, subject_ids=None):
+def save_features_csv(path, values):
     values = np.asarray(values, dtype=np.float64)
     header = ["subject_id"] + [f"f{j}" for j in range(values.shape[1])]
-    lines = [",".join(header) + "\n"]
-    for i, row in enumerate(values):
-        sid = str(i) if subject_ids is None else str(subject_ids[i])
-        lines.append(",".join([sid] + [_fmt(x) for x in row]) + "\n")
-    Path(path).write_text("".join(lines))
+    save_csv(path, header, [[i] + list(row) for i, row in enumerate(values)])
 
 
 def _csv_rows(path, width=None):
@@ -474,12 +462,8 @@ def load_features_csv(path):
     return ids, np.array(rows)
 
 
-def save_groups_csv(path, groups, subject_ids=None):
-    lines = ["subject_id,group\n"]
-    for i, g in enumerate(groups):
-        sid = str(i) if subject_ids is None else str(subject_ids[i])
-        lines.append(f"{sid},{g}\n")
-    Path(path).write_text("".join(lines))
+def save_groups_csv(path, groups):
+    save_csv(path, ["subject_id", "group"], [(i, str(g)) for i, g in enumerate(groups)])
 
 
 def load_groups_csv(path):

@@ -6,6 +6,7 @@ of the same heart over a cardiac cycle share one connectivity, which is what
 makes vertex-wise population statistics possible downstream.
 """
 
+import hashlib
 from functools import cached_property
 
 import numpy as np
@@ -265,12 +266,6 @@ class MeshSequence:
     def __getitem__(self, t):
         return self.frames[t]
 
-    def stacked(self):
-        """Per-structure stacked coordinates, ``{structure: (T, n_c, 3)}``."""
-        return {
-            s: np.stack([fr[s].vertices for fr in self.frames]) for s in STRUCTURES
-        }
-
     def topology(self):
         return Topology.from_chamber_set(self.frames[0], self.n_frames)
 
@@ -336,8 +331,6 @@ class Topology:
 
     def digest(self):
         """64-bit digest of structure order, counts, faces and frame count."""
-        import hashlib
-
         h = hashlib.blake2b(digest_size=8)
         h.update(str(self.n_frames).encode())
         for s in STRUCTURES:

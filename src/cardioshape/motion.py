@@ -29,13 +29,14 @@ class SlicePlane:
 
     The pixel (x, y) = (column, row) sits at world position
     ``origin + x * du * axis_u + y * dv * axis_v``; images are indexed
-    ``image[t, y, x]``.  The displacement is in mm and applied continuously:
-    the corrected image samples the stored one at ``(x + dx/du, y + dy/dv)``.
+    ``image[t, y, x]``.  The displacement starts at zero, is in mm and is
+    applied continuously: the corrected image samples the stored one at
+    ``(x + dx/du, y + dy/dv)``.
     """
 
     def __init__(
         self, origin, axis_u, axis_v, pixel_spacing, image, label=None,
-        displacement=(0.0, 0.0), plane_id="plane",
+        plane_id="plane",
     ):
         self.origin = np.asarray(origin, dtype=np.float64)
         self.axis_u = np.asarray(axis_u, dtype=np.float64)
@@ -55,7 +56,7 @@ class SlicePlane:
         self.label = None if label is None else np.asarray(label)
         if self.label is not None and self.label.shape != self.image.shape:
             raise ValueError("label must match image shape")
-        self.displacement = np.asarray(displacement, dtype=np.float64).copy()
+        self.displacement = np.zeros(2)
         self.plane_id = plane_id
 
     @property
@@ -114,13 +115,6 @@ def _bilinear(image, px, py):
     dx = (i01 - i00) * (mx * gy) + (i11 - i10) * (mx * fy)
     dy = (i10 - i00) * (my * gx) + (i11 - i01) * (my * fx)
     return vals, dx, dy
-
-
-def bilinear_sample(plane, point3d, t):
-    """Motion-corrected intensity at a 3-D point on a plane (border-clamped)."""
-    pix = plane.displaced_pixels(plane.world_to_pixels(point3d))
-    out = _bilinear(plane.image[t : t + 1], pix[:, 0], pix[:, 1])[0][0]
-    return float(out[0]) if np.ndim(point3d) == 1 else out
 
 
 def _sample_nearest_label(plane, pix):

@@ -10,9 +10,12 @@ connectivity, with per-structure sums over contiguous blocks.  Values are in mm
 (Dice and correlations dimensionless).  Gradients are exact except at the
 measure-zero kinks of norms and nearest-neighbour ties, where a fixed
 subgradient is used.
-"""
 
-from dataclasses import dataclass
+:func:`total_loss` weighs the regularisers by four constants: ``LAMBDA_EDGE``
+(edge-length spread), ``LAMBDA_CURV`` (curvature correlation), ``LAMBDA_TEMP``
+(frame-to-frame displacement) and ``LAMBDA_CYCLE`` (last-to-first frame
+displacement).
+"""
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,20 +23,10 @@ from scipy.spatial import cKDTree
 from .mesh import STRUCTURES, _cross, _scatter_rows, accumulated_normals
 
 
-@dataclass
-class LossWeights:
-    """Weights of the regularisation terms in the total objective."""
-
-    lambda_edge: float = 0.5
-    lambda_curv: float = 1.0
-    lambda_temp: float = 0.1
-    lambda_cycle: float = 0.2
-
-    def __post_init__(self):
-        for name in ("lambda_edge", "lambda_curv", "lambda_temp", "lambda_cycle"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
+LAMBDA_EDGE = 0.5
+LAMBDA_CURV = 1.0
+LAMBDA_TEMP = 0.1
+LAMBDA_CYCLE = 0.2
 
 
 def _blocked(coords, labels, spacing):
@@ -149,9 +142,9 @@ class TargetClouds:
         return self.frames[t][s]
 
     @classmethod
-    def from_sequence(cls, seq, structures=STRUCTURES):
+    def from_sequence(cls, seq):
         """Sample targets exactly at mesh vertices (self-targets)."""
-        return cls([{s: fr[s].vertices for s in structures} for fr in seq.frames])
+        return cls([{s: fr[s].vertices for s in STRUCTURES} for fr in seq.frames])
 
 
 def _safe_unit(diff, dist):
@@ -306,8 +299,8 @@ def cycle_loss(x, topology):
     return float((dist / n).sum()), grad
 
 
-def total_loss(x, topology, targets, weights, template_curvatures):
-    """Weighted combination of all terms.
+def total_loss(x, topology, targets, template_curvatures):
+    """Recon plus the regularisers weighted by the ``LAMBDA_*`` constants.
 
     Returns ``(value, grad, terms)`` where ``terms`` maps term name to its
     unweighted value.  For single-frame sequences the temporal term is
@@ -316,13 +309,13 @@ def total_loss(x, topology, targets, weights, template_curvatures):
     total, grad = recon_loss(x, topology, targets)
     terms = {"recon": total}
     regularisers = [
-        ("edge", weights.lambda_edge, edge_loss, ()),
-        ("curv", weights.lambda_curv, curvature_loss, (template_curvatures,)),
-        ("temp", weights.lambda_temp if len(x) >= 2 else 0.0, temporal_loss, ()),
-        ("cycle", weights.lambda_cycle, cycle_loss, ()),
+        ("edge", LAMBDA_EDGE, edge_loss, ()),
+        ("curv", LAMBDA_CURV, curvature_loss, (template_curvatures,)),
+        ("temp", LAMBDA_TEMP, temporal_loss, ()),
+        ("cycle", LAMBDA_CYCLE, cycle_loss, ()),
     ]
     for name, weight, fn, args in regularisers:
-        if weight == 0.0:
+        if name == "temp" and len(x) < 2:
             continue
         value, g = fn(x, topology, *args)
         terms[name] = value
@@ -367,19 +360,6 @@ def dice(vol_a, vol_b, label):
     if denom == 0:
         return 1.0
     return 2.0 * int((ma & mb).sum()) / denom
-
-
-def temporal_laplacian_error(seq):
-    """Mean second-temporal-difference magnitude over interior frames."""
-    if seq.n_frames < 3:
-        raise ValueError("temporal_laplacian_error needs at least three frames")
-    stacked = seq.stacked()
-    mags = []
-    for s in STRUCTURES:
-        v = stacked[s]
-        second = v[:-2] + v[2:] - 2.0 * v[1:-1]
-        mags.append(np.linalg.norm(second, axis=2).ravel())
-    return float(np.concatenate(mags).mean())
 
 
 def pearson_r(x, y):

@@ -85,17 +85,6 @@ def wall_thickness(endo, epi):
     return d, {"mean": float(d.mean()), "max": float(d.max())}
 
 
-def displacement_curve(seq, structure):
-    """Per-frame mean vertex displacement magnitude relative to frame 1 (mm)."""
-    ref = seq.frames[0][structure].vertices
-    return np.array(
-        [
-            float(np.linalg.norm(fr[structure].vertices - ref, axis=1).mean())
-            for fr in seq.frames
-        ]
-    )
-
-
 def phenotype_table(seq):
     """All scalar phenotypes of one subject's sequence."""
     curves = {s: volume_curve(seq, s) for s in ("LV-endo", "RV", "LA", "RA")}

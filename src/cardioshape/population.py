@@ -15,9 +15,9 @@ from .mesh import STRUCTURES, vertex_normals
 class FeatureMatrix:
     """Subjects-by-features matrix with per-column standardization stats.
 
-    Zero-variance columns are dropped from the standardized view (their
-    indices are kept in ``dropped``); raw values are retained so descriptors
-    can be truncated later.
+    Zero-variance columns are dropped from the standardized view (the
+    indices of the others are kept in ``kept``); raw values are retained so
+    descriptors can be truncated later.
     """
 
     def __init__(self, values):
@@ -31,7 +31,6 @@ class FeatureMatrix:
         sd = values.std(axis=0)
         keep = sd > 0
         self.kept = np.flatnonzero(keep)
-        self.dropped = np.flatnonzero(~keep)
         self.mean = mean[keep]
         self.sd = sd[keep]
         self.z = (values[:, keep] - self.mean) / self.sd

@@ -7,7 +7,7 @@ misalignments.  Everything is deterministic per seed, which makes these
 outputs usable as oracles for the rest of the toolkit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -88,7 +88,6 @@ class Population:
     sequences: list
     weights: np.ndarray
     attributes: dict
-    mode_fields: np.ndarray = field(repr=False, default=None)
     motion_scales: np.ndarray = None
 
 
@@ -244,7 +243,6 @@ def synth_population(cfg, n_subjects):
         sequences=sequences,
         weights=weights,
         attributes=attributes,
-        mode_fields=fields,
         motion_scales=motion_scales,
     )
 
@@ -306,9 +304,6 @@ class VolumeGeometry:
                 los.append(pts.min(axis=0))
                 his.append(pts.max(axis=0))
         return cls.for_bounds(np.min(los, axis=0), np.max(his, axis=0), voxel_size)
-
-    def centers(self, axis):
-        return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])
 
     def world_bounds(self):
         lo = self.origin - 0.5 * self.spacing

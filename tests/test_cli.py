@@ -287,10 +287,9 @@ class TestPoseConvention:
         template = toy_chamber_set()
         rng = np.random.default_rng(3)
         seq = toy_sequence(3, motion=lambda t: (2.0 * t, -t, 0.5 * t))
-        # noise in stacked() order, laid out as vectorize() lays out coordinates
-        noise = np.concatenate(
-            [rng.normal(0.0, 0.3, v.shape) for v in seq.stacked().values()], axis=1
-        )
+        # (T, n_s, 3) noise per structure, laid out as vectorize() lays out coordinates
+        shapes = [(seq.n_frames, seq[0][s].n_vertices, 3) for s in STRUCTURES]
+        noise = np.concatenate([rng.normal(0.0, 0.3, shape) for shape in shapes], axis=1)
         seq = devectorize(vectorize(seq) + noise.ravel(), seq.topology())
         expected = vectorize(_to_model_space(seq, template))
         got = vectorize(_to_model_space(_moved(seq, angles, shift), template))
@@ -387,6 +386,36 @@ class TestExitCodes:
         rc = main([command, *inputs, "--k", "1", flag, value, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, k, top",
+        [("retrieve", "0", "5"), ("retrieve", "6", "5"), ("reid", "0", "6"), ("reid", "7", "6")],
+    )
+    def test_k_out_of_range_names_flag_and_file(self, tmp_path, capsys, command, k, top):
+        features = str(tmp_path / "f.csv")
+        cio.save_features_csv(features, np.random.default_rng(0).normal(size=(6, 4)))
+        cio.save_groups_csv(tmp_path / "g.csv", ["x", "y"] * 3)
+        inputs = {
+            "retrieve": ["--features", features, "--groups", str(tmp_path / "g.csv")],
+            "reid": ["--features-t1", features, "--features-t2", features],
+        }[command]
+        rc = main([command, *inputs, "--k", k, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"--k {k}" in err and features in err and f"1 <= k <= {top}" in err
+
+    def test_groups_row_count_names_file(self, tmp_path, capsys):
+        cio.save_features_csv(tmp_path / "f.csv", np.random.default_rng(0).normal(size=(6, 4)))
+        cio.save_groups_csv(tmp_path / "g.csv", ["x", "y", "x", "y", "x"])
+        rc = main(
+            [
+                "retrieve", "--features", str(tmp_path / "f.csv"), "--groups",
+                str(tmp_path / "g.csv"), "--k", "1", "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(tmp_path / "g.csv") in err and "5 rows for the 6 subjects" in err
 
     def test_non_finite_views_exit_2(self, synth_dir, tmp_path, capsys):
         views = cio.load_views(synth_dir / "subject_000" / "views.bin")
@@ -531,3 +560,28 @@ class TestExitCodes:
         assert rc == 0
         assert (tmp_path / "out" / "subject_001" / "meshes").exists()
         assert not (tmp_path / "out" / "subject_002").exists()
+
+    def test_explicit_flag_beats_config(self, tmp_path):
+        # --subjects 10 is also the parser default, and still wins
+        (tmp_path / "cfg.json").write_text(json.dumps({"subjects": 2, "scale": 0.02}))
+        rc = main(
+            [
+                "synth", "--subjects", "10", "--frames", "1", "--config",
+                str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 0
+        assert (tmp_path / "out" / "subject_009" / "meshes").exists()
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"scale": 0.02, "bogus-key": 1}))
+        rc = main(
+            [
+                "synth", "--subjects", "1", "--frames", "1", "--config",
+                str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(tmp_path / "cfg.json") in err and "'bogus-key'" in err
+        assert not (tmp_path / "out").exists()

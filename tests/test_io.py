@@ -479,7 +479,7 @@ class TestCsv:
         from cardioshape.phenotypes import phenotype_table
 
         tables = [phenotype_table(s) for s in population.sequences[:2]]
-        cio.save_phenotype_csv(tmp_path / "p.csv", tables)
+        cio.save_phenotype_csv(tmp_path / "p.csv", tables, ["s0", "s1"])
         header = (tmp_path / "p.csv").read_text().splitlines()[0]
         assert "LVM (g)" in header and "LVEDV (mL)" in header
         assert "LVEF (%)" in header

@@ -6,7 +6,7 @@ from scipy import sparse
 from scipy.spatial import distance_matrix
 from scipy.spatial.transform import Rotation
 
-from cardioshape import synth
+from cardioshape import objectives, synth
 from cardioshape.mesh import (
     STRUCTURES,
     ChamberSet,
@@ -19,7 +19,6 @@ from cardioshape.mesh import (
 )
 from cardioshape.objectives import (
     LabelledPoints,
-    LossWeights,
     TargetClouds,
     curvature_loss,
     cycle_loss,
@@ -28,7 +27,6 @@ from cardioshape.objectives import (
     pearson_r,
     recon_loss,
     surface_distances,
-    temporal_laplacian_error,
     temporal_loss,
     total_loss,
 )
@@ -314,16 +312,7 @@ class TestCycleLoss:
 
 
 class TestTotalLoss:
-    def test_default_weights(self):
-        w = LossWeights()
-        assert (w.lambda_edge, w.lambda_curv, w.lambda_temp, w.lambda_cycle) == (
-            0.5,
-            1.0,
-            0.1,
-            0.2,
-        )
-
-    def test_zero_weights_equals_recon(self, small_pop):
+    def test_recon_plus_weighted_terms(self, small_pop):
         seq = small_pop.sequences[0]
         rng = np.random.default_rng(8)
         targets = TargetClouds(
@@ -333,25 +322,30 @@ class TestTotalLoss:
                 for fr in seq.frames
             ]
         )
-        total, _, _ = total_loss(
-            *pooled(seq), targets, LossWeights(0.0, 0.0, 0.0, 0.0), small_pop.curvatures
-        )
-        ref, _ = recon_loss(*pooled(seq), targets)
-        assert total == ref
-
-    def test_linear_in_edge_weight(self, small_pop):
-        seq = small_pop.sequences[0]
-        targets = TargetClouds.from_sequence(seq)
         curv = small_pop.curvatures
-        x, topo = pooled(seq)
-        v1, _, _ = total_loss(x, topo, targets, LossWeights(0.5, 0, 0, 0), curv)
-        v2, _, _ = total_loss(x, topo, targets, LossWeights(1.0, 0, 0, 0), curv)
-        e, _ = edge_loss(x, topo)
-        assert abs((v2 - v1) - 0.5 * e) < 1e-12
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(lambda_edge=-0.1)
+        terms = {
+            "edge": (objectives.LAMBDA_EDGE, edge_loss, ()),
+            "curv": (objectives.LAMBDA_CURV, curvature_loss, (curv,)),
+            "temp": (objectives.LAMBDA_TEMP, temporal_loss, ()),
+            "cycle": (objectives.LAMBDA_CYCLE, cycle_loss, ()),
+        }
+        single = MeshSequence(seq.frames[:1])
+        for frames, clouds in ((seq, targets), (single, targets.frame(0))):
+            x, topo = pooled(frames)
+            value, grad, parts = total_loss(x, topo, clouds, curv)
+            # a single frame has no frame-to-frame displacement
+            expected = set(terms) if len(x) > 1 else set(terms) - {"temp"}
+            assert set(parts) == expected | {"recon"}
+            ref, ref_grad = recon_loss(x, topo, clouds)
+            for name, (weight, fn, args) in terms.items():
+                if name not in expected:
+                    continue
+                term, term_grad = fn(x, topo, *args)
+                assert parts[name] == term
+                ref += weight * term
+                ref_grad += weight * term_grad
+            assert abs(value - ref) < 1e-12
+            assert np.abs(grad - ref_grad).max() < 1e-12
 
     def test_all_terms_nonnegative(self, small_pop):
         seq = small_pop.sequences[0]
@@ -363,7 +357,7 @@ class TestTotalLoss:
                 for fr in seq.frames
             ]
         )
-        _, _, terms = total_loss(*pooled(seq), targets, LossWeights(), small_pop.curvatures)
+        _, _, terms = total_loss(*pooled(seq), targets, small_pop.curvatures)
         assert all(v >= 0 for v in terms.values())
 
 
@@ -434,30 +428,6 @@ class TestDice:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):
             dice(np.zeros((2, 2)), np.zeros((3, 2)), 1)
-
-
-class TestTemporalLaplacian:
-    def test_linear_motion_zero(self):
-        seq = toy_sequence(n_frames=5, motion=lambda t: [0.7 * t, -0.2 * t, 0.0])
-        assert temporal_laplacian_error(seq) < 1e-12
-
-    def test_static_zero(self):
-        assert temporal_laplacian_error(toy_sequence(n_frames=4)) == 0.0
-
-    def test_sinusoid_closed_form(self):
-        amp, omega = 2.0, 0.8
-        seq = toy_sequence(
-            n_frames=6, motion=lambda t: [amp * np.sin(omega * t), 0, 0]
-        )
-        got = temporal_laplacian_error(seq)
-        t = np.arange(6)
-        x = amp * np.sin(omega * t)
-        expected = np.abs(x[:-2] + x[2:] - 2 * x[1:-1]).mean()
-        assert abs(got - expected) < 1e-9
-
-    def test_needs_three_frames(self):
-        with pytest.raises(ValueError, match="three frames"):
-            temporal_laplacian_error(toy_sequence(n_frames=2))
 
 
 class TestPearson:

@@ -7,14 +7,13 @@ from scipy.spatial.transform import Rotation
 from cardioshape import synth
 from cardioshape.mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh
 from cardioshape.phenotypes import (
-    displacement_curve,
     mesh_volume,
     phenotype_table,
     volume_curve,
     wall_thickness,
 )
 
-from conftest import cube_mesh, toy_sequence
+from conftest import cube_mesh
 
 
 def scaled_cube(side):
@@ -203,23 +202,6 @@ class TestWallThickness:
     def test_count_mismatch(self, template):
         with pytest.raises(ValueError, match="equal vertex counts"):
             wall_thickness(template["LV-endo"], template["RV"])
-
-
-class TestDisplacementCurve:
-    def test_static_zero(self):
-        seq = toy_sequence(n_frames=3)
-        assert np.abs(displacement_curve(seq, "RV")).max() == 0.0
-
-    def test_rigid_translation_frame(self):
-        seq = toy_sequence(
-            n_frames=3, motion=lambda t: [3.0 if t == 1 else 0.0, 0, 0]
-        )
-        curve = displacement_curve(seq, "LA")
-        assert abs(curve[1] - 3.0) < 1e-12
-
-    def test_first_frame_zero(self):
-        seq = toy_sequence(n_frames=4, motion=lambda t: [0.5 * t, 0, 0])
-        assert displacement_curve(seq, "LV-endo")[0] == 0.0
 
 
 class TestPhenotypeProperties:

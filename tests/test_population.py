@@ -237,5 +237,5 @@ class TestFeatureMatrix:
         raw = rng.normal(size=(20, 4))
         raw[:, 1] = 5.0
         feats = FeatureMatrix(raw)
-        assert list(feats.dropped) == [1]
+        assert list(feats.kept) == [0, 2, 3]
         assert feats.z.shape == (20, 3)

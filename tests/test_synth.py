@@ -281,7 +281,9 @@ class TestVoxelizeProperties:
             np.subtract(centre, outer), np.add(centre, outer), voxel_size
         )
         mask = synth._inside_mask(mesh, geometry)
-        grid = np.meshgrid(*(geometry.centers(a) for a in range(3)), indexing="ij")
+        # voxel (i, j, k) is centred at origin + (i, j, k) * spacing
+        axes = zip(geometry.origin, geometry.spacing, geometry.dims)
+        grid = np.meshgrid(*(o + h * np.arange(n) for o, h, n in axes), indexing="ij")
         dist = np.linalg.norm(np.stack(grid, axis=-1) - centre, axis=-1)
         assert mask[dist < inscribed - 1e-6].all()
         assert not mask[dist > outer + 1e-6].any()
