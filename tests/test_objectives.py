@@ -347,6 +347,36 @@ class TestTotalLoss:
             assert abs(value - ref) < 1e-12
             assert np.abs(grad - ref_grad).max() < 1e-12
 
+    def test_zero_weights_equals_recon(self, small_pop, monkeypatch):
+        for name in ("LAMBDA_EDGE", "LAMBDA_CURV", "LAMBDA_TEMP", "LAMBDA_CYCLE"):
+            monkeypatch.setattr(objectives, name, 0.0)
+        seq = small_pop.sequences[0]
+        rng = np.random.default_rng(8)
+        targets = TargetClouds(
+            [
+                {s: fr[s].vertices + rng.normal(0, 1, fr[s].vertices.shape)
+                 for s in STRUCTURES}
+                for fr in seq.frames
+            ]
+        )
+        total, _, _ = total_loss(*pooled(seq), targets, small_pop.curvatures)
+        ref, _ = recon_loss(*pooled(seq), targets)
+        assert total == ref
+
+    def test_linear_in_edge_weight(self, small_pop, monkeypatch):
+        for name in ("LAMBDA_CURV", "LAMBDA_TEMP", "LAMBDA_CYCLE"):
+            monkeypatch.setattr(objectives, name, 0.0)
+        seq = small_pop.sequences[0]
+        targets = TargetClouds.from_sequence(seq)
+        curv = small_pop.curvatures
+        x, topo = pooled(seq)
+        monkeypatch.setattr(objectives, "LAMBDA_EDGE", 0.5)
+        v1, _, _ = total_loss(x, topo, targets, curv)
+        monkeypatch.setattr(objectives, "LAMBDA_EDGE", 1.0)
+        v2, _, _ = total_loss(x, topo, targets, curv)
+        e, _ = edge_loss(x, topo)
+        assert abs((v2 - v1) - 0.5 * e) < 1e-12
+
     def test_all_terms_nonnegative(self, small_pop):
         seq = small_pop.sequences[0]
         rng = np.random.default_rng(9)
