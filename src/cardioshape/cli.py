@@ -67,15 +67,23 @@ def _apply_config(parser, args, argv):
         raise cio.ValidationError(f"cannot read config {args.config}: {exc}")
     if not isinstance(values, dict):
         raise cio.ValidationError(f"config {args.config}: not a JSON object")
-    flags = {action.dest for action in args._subparser._actions} - {"help"}
+    actions = {a.dest: a for a in args._subparser._actions if a.dest != "help"}
     defaults = {}
     for key, value in values.items():
-        dest = key.replace("-", "_")
-        if dest not in flags:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise cio.ValidationError(
                 f"config {args.config}: {key!r} is not a flag of {args.command}"
             )
-        defaults[dest] = value
+        if action.type is not None and value is not None:
+            try:  # as if typed on the command line, item by item for a list flag
+                if action.nargs:
+                    value = [action.type(str(v)) for v in value]
+                else:
+                    value = action.type(str(value))
+            except (TypeError, ValueError) as exc:
+                raise cio.ValidationError(f"config {args.config}: {key!r}: {exc}") from exc
+        defaults[action.dest] = value
     args._subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -368,6 +376,12 @@ def cmd_retrieve(args):
 def cmd_reid(args):
     _, v1 = cio.load_features_csv(args.features_t1)
     _, v2 = cio.load_features_csv(args.features_t2)
+    if v1.shape != v2.shape:
+        raise cio.ValidationError(
+            f"--features-t1 {args.features_t1} is {' x '.join(map(str, v1.shape))} but "
+            f"--features-t2 {args.features_t2} is {' x '.join(map(str, v2.shape))} "
+            "(subjects x features); they must match"
+        )
     n = len(v1)
     if not 1 <= args.k <= n:
         raise cio.ValidationError(

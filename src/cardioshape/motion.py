@@ -7,13 +7,14 @@ term over the short-axis slices.  Each residual is a bilinear sample, so all
 displacements are solved jointly by damped Gauss-Newton on the IRLS normal
 system of the absolute residuals (Lucas-Kanade with an L1 penalty; Baker &
 Matthews 2004): no step size.  In the solve the displacements are one (P, 2)
-array, rows in ``ViewSet.planes()`` order.  One residual pass
-(``_linearise``) over one broadcasting sampler (``_bilinear``) serves the
-intersection lines (``ViewSet.pairs``, built once per view set) and whole
-short-axis slices, each shifted by one sub-pixel offset."""
+array, rows in ``ViewSet.planes()`` order.  A value pass (``_value``) samples
+every intersection line in one ``_bilinear`` gather (``ViewSet.lines``, built
+once per view set) and each whole short-axis slice once; a Jacobian pass
+(``_jacobian``) adds the derivative taps, and the solver runs it only where a
+step was accepted."""
 
 import warnings
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -79,50 +80,89 @@ class SlicePlane:
              rel @ self.axis_v / self.pixel_spacing[1]]
         )
 
-    def displaced_pixels(self, pix):
-        return pix + self.displacement / np.array(self.pixel_spacing)
 
-
-def _bilinear(image, px, py):
+def _bilinear(image, px, py, gradient=False):
     """Border-clamped bilinear sample of (T, H, W) at pixel coords px, py.
 
     ``px`` and ``py`` broadcast against each other: two (N,) arrays sample N
-    points, and (W,) with (H, 1) samples a whole (H, W) grid.  Returns the
-    values and the x and y derivatives, each of shape (T,) + the broadcast
-    shape.  The sampled function is constant beyond the border, so the
-    derivative along a clamped coordinate is zero.
+    points, and (W,) with (H, 1) samples a whole (H, W) grid.  ``image`` may
+    also be a view set's ``_Lines``, sampled at its (M,) points.  Returns
+    the values, or with ``gradient`` the x and y derivatives, each of shape
+    (T,) + the broadcast shape.  The sampled function is constant beyond the
+    border, so the derivative along a clamped coordinate is zero.
     """
     _, h, w = image.shape
     cx = np.clip(px, 0.0, w - 1.0)
     cy = np.clip(py, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(cx).astype(np.int64), max(w - 2, 0))
-    y0 = np.minimum(np.floor(cy).astype(np.int64), max(h - 2, 0))
+    x0 = np.minimum(np.floor(cx).astype(np.int64), np.maximum(w - 2, 0))
+    y0 = np.minimum(np.floor(cy).astype(np.int64), np.maximum(h - 2, 0))
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     fx = cx - x0
     fy = cy - y0
     gx = 1 - fx
     gy = 1 - fy
+    if isinstance(image, _Lines):
+        take = image.take
+    else:
+        take = partial(np.take, image.reshape(len(image), -1), axis=1)
     # weights and masks meet the (T, ...) taps only after their own product
+    i00, i01, i10, i11 = (take(y * w + x) for y, x in ((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
+    if not gradient:
+        return i00 * (gx * gy) + i01 * (fx * gy) + i10 * (gx * fy) + i11 * (fx * fy)
     mx = cx == px
     my = cy == py
-    flat = image.reshape(len(image), -1)
-    i00, i01, i10, i11 = (
-        np.take(flat, y * w + x, axis=1)
-        for y, x in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))
-    )
-    vals = i00 * (gx * gy) + i01 * (fx * gy) + i10 * (gx * fy) + i11 * (fx * fy)
     dx = (i01 - i00) * (mx * gy) + (i11 - i10) * (mx * fy)
     dy = (i10 - i00) * (my * gx) + (i11 - i01) * (my * fx)
-    return vals, dx, dy
+    return dx, dy
 
 
-def _sample_nearest_label(plane, pix):
-    h, w = plane.shape
-    dp = plane.displaced_pixels(pix)
-    x = np.clip(np.rint(dp[:, 0]).astype(np.int64), 0, w - 1)
-    y = np.clip(np.rint(dp[:, 1]).astype(np.int64), 0, h - 1)
-    return plane.label[:, y, x]
+class _Lines:
+    """Every intersecting long/long and short/long plane pair as one batch of
+    points that ``_bilinear`` samples in one call: undisplaced pixels ``pix``
+    (M, 2) sorted by plane (``owner``), ``shape`` (T, H, W) with H and W per
+    point, and per pair its planes' indices and its sides' (T, M) columns."""
+
+    def __init__(self, views):
+        self.planes = planes = views.planes()
+        n = len(views.sax)
+        index, sides = [], []
+        for i, j in [(n, n + 1)] + [(d, n + k) for d in range(n) for k in (0, 1)]:
+            pts = intersection_samples(planes[i], planes[j])
+            if len(pts) == 0:
+                warnings.warn(
+                    f"empty intersection between {planes[i].plane_id} and "
+                    f"{planes[j].plane_id}; term contributes 0"
+                )
+                continue
+            index.append((i, j))
+            sides += [(k, planes[k].world_to_pixels(pts)) for k in (i, j)]
+        if not sides:
+            raise ValueError("no two planes of the view set intersect")
+        owner = np.concatenate([np.full(len(pix), k) for k, pix in sides])
+        order = np.argsort(owner, kind="stable")  # keeps each side's points together
+        self.pix, self.owner = np.concatenate([pix for _, pix in sides])[order], owner[order]
+        self.stops = np.searchsorted(self.owner, np.arange(len(planes) + 1))
+        self.shape = (views.n_frames, *np.array([p.shape for p in planes])[self.owner].T)
+        first = np.argsort(order)[np.cumsum([0] + [len(pix) for _, pix in sides[:-1]])]
+        cols = [slice(c, c + len(pix)) for c, (_, pix) in zip(first, sides)]
+        self.pairs = [(i, j, a, b) for (i, j), a, b in zip(index, cols[::2], cols[1::2])]
+
+    def pixels(self, shift):
+        """The points' pixel coordinates x, y at the (P, 2) pixel ``shift``."""
+        return (self.pix + shift[self.owner]).T
+
+    def sides(self, sample):
+        """A (T, M) sample's a and b sides, each flat in ``pairs`` order."""
+        return [np.concatenate([sample[:, p[k]].ravel() for p in self.pairs]) for k in (2, 3)]
+
+    def take(self, index, attr="image"):
+        """Entry ``index[m]`` of each point's plane ``attr``, per frame (T, M)."""
+        images = [getattr(p, attr) for p in self.planes]
+        out = np.empty((self.shape[0], len(index)), images[0].dtype)
+        for image, a, b in zip(images, self.stops, self.stops[1:]):
+            np.take(image.reshape(len(image), -1), index[a:b], axis=1, out=out[:, a:b])
+        return out
 
 
 class ViewSet:
@@ -163,26 +203,7 @@ class ViewSet:
     def n_frames(self):
         return self.sax[0].n_frames
 
-    @cached_property
-    def pairs(self):
-        """(index a, index b, undisplaced pixels (N, 2) on a, on b) for every
-        intersecting long/long and short/long pair, indices into ``planes()``.
-        Built once: a plane's geometry does not change, only its displacement."""
-        planes = self.planes()
-        n = len(self.sax)
-        index_pairs = [(n, n + 1)] + [(d, n + k) for d in range(n) for k in (0, 1)]
-        out = []
-        for i, j in index_pairs:
-            a, b = planes[i], planes[j]
-            pts = intersection_samples(a, b)
-            if len(pts) == 0:
-                warnings.warn(
-                    f"empty intersection between {a.plane_id} and {b.plane_id}; "
-                    "term contributes 0"
-                )
-                continue
-            out.append((i, j, a.world_to_pixels(pts), b.world_to_pixels(pts)))
-        return out
+    lines = cached_property(_Lines)  # built on first use: only displacements change
 
 
 def intersection_samples(a, b):
@@ -225,91 +246,108 @@ def intersection_samples(a, b):
     return q0 + s[:, None] * direction
 
 
-def _linearise(views, shift):
-    """Sum of |r|, its (P, 2) sign subgradient and the (2P, 2P) IRLS normal
-    matrix ``J^T diag(1 / max(|r|, IRLS_FLOOR)) J`` (Holland & Welsch 1977) at
-    the (P, 2) pixel ``shift``.  The residuals are ``Ia - Ib`` on the pair
-    lines and half the through-stack second difference, each row of J taken
-    from the same ``_bilinear`` taps."""
+def _slice(plane, shift, gradient=False):
+    """``_bilinear`` of a whole slice shifted by ``shift`` = (x, y) pixels."""
+    cols, rows = np.arange(plane.shape[1]) + shift[0], np.arange(plane.shape[0])[:, None]
+    return _bilinear(plane.image, cols, rows + shift[1], gradient)
+
+
+def _value(views, shift):
+    """Sum of |r| at the (P, 2) pixel ``shift``, and the residuals r: first
+    ``Ia - Ib`` on each pair line (T, N), then half the through-stack second
+    difference at each inner short-axis slice (T, H, W)."""
+    lines = views.lines
+    vals = _bilinear(lines, *lines.pixels(shift))
+    sampled = [_slice(p, s) for p, s in zip(views.sax, shift)]
+    residuals = [vals[:, a] - vals[:, b] for _, _, a, b in lines.pairs] + [
+        0.5 * (sampled[d - 1] + sampled[d + 1]) - sampled[d] for d in range(1, len(sampled) - 1)
+    ]
+    # one pairwise sum per residual, added in this order: the order fixes the rounding
+    return sum(np.abs(residual).ravel().sum() for residual in residuals), residuals
+
+
+def _jacobian(views, shift, residuals):
+    """The (P, 2) sign subgradient of the sum of |r| and the (2P, 2P) IRLS
+    normal matrix ``J^T diag(1 / max(|r|, IRLS_FLOOR)) J`` (Holland & Welsch
+    1977) at the (P, 2) pixel ``shift``, given ``_value``'s residuals there.
+    Each row of J is taken from ``_bilinear`` derivative taps."""
     planes = views.planes()
-    total = 0.0
     grad = np.zeros(2 * len(planes))
     normal = np.zeros((len(grad), len(grad)))
 
     def add(residual, rows, coef, taps):
         # plane rows[k] moves the residual by coef[k] * its (x, y) taps[k]
-        nonlocal total
         size = np.abs(residual).ravel()
         jac = taps.reshape(2 * len(rows), -1)
         coef = np.repeat(coef, 2)
         cols = [2 * k + axis for k in rows for axis in (0, 1)]
-        total += size.sum()
         grad[cols] += coef * (jac @ np.sign(residual).ravel())
         block = (jac / np.maximum(size, IRLS_FLOOR)) @ jac.T
         normal[np.ix_(cols, cols)] += np.outer(coef, coef) * block
 
-    for i, j, pix_a, pix_b in views.pairs:
-        va, *da = _bilinear(planes[i].image, *(pix_a + shift[i]).T)
-        vb, *db = _bilinear(planes[j].image, *(pix_b + shift[j]).T)
-        add(va - vb, (i, j), (1.0, -1.0), np.array(da + db))
-    sampled = [
-        _bilinear(p.image, np.arange(p.shape[1]) + x, np.arange(p.shape[0])[:, None] + y)
-        for p, (x, y) in zip(views.sax, shift)
-    ]
+    lines = views.lines
+    dx, dy = _bilinear(lines, *lines.pixels(shift), gradient=True)
+    for (i, j, a, b), residual in zip(lines.pairs, residuals):
+        add(residual, (i, j), (1.0, -1.0), np.array([dx[:, a], dy[:, a], dx[:, b], dy[:, b]]))
     # (S, 2, T, H, W): three consecutive slices' taps are one contiguous view
-    taps = np.array([s[1:] for s in sampled])
-    for d in range(1, len(sampled) - 1):
-        second = 0.5 * (sampled[d - 1][0] + sampled[d + 1][0]) - sampled[d][0]
-        add(second, (d - 1, d, d + 1), (0.5, -1.0, 0.5), taps[d - 1 : d + 2])
-    return total, grad.reshape(-1, 2), normal
+    taps = np.empty((len(views.sax), 2) + residuals[-1].shape)
+    for k, (p, s) in enumerate(zip(views.sax, shift)):
+        taps[k, 0], taps[k, 1] = _slice(p, s, gradient=True)
+    for d, residual in enumerate(residuals[len(lines.pairs) :], 1):
+        add(residual, (d - 1, d, d + 1), (0.5, -1.0, 0.5), taps[d - 1 : d + 2])
+    return grad.reshape(-1, 2), normal
 
 
-def mc_objective(views, displacements=None):
+def mc_objective(views):
     """Multi-view alignment objective and its displacement gradients.
 
     Value: frame-averaged sum of absolute intensity differences along the
     long-axis/long-axis and short-axis/long-axis intersections, plus half the
     absolute through-stack second difference of the short-axis slices over
-    all pixels.  ``displacements`` is a (P, 2) array in mm, one row per plane
-    in ``views.planes()`` order; it defaults to the planes' own.  Returns the
-    value and the (P, 2) gradient in the same order.  Gradients use bilinear
-    derivatives with the sign subgradient of the absolute value (zero at
-    ties).
+    all pixels, at the planes' own displacements.  Returns the value and the
+    (P, 2) gradient in mm, one row per plane in ``views.planes()`` order.
+    Gradients use bilinear derivatives with the sign subgradient of the
+    absolute value (zero at ties).
     """
     planes = views.planes()
-    if displacements is None:
-        displacements = [p.displacement for p in planes]
     spacing = np.array([p.pixel_spacing for p in planes])
-    total, grad, _ = _linearise(views, np.asarray(displacements, dtype=np.float64) / spacing)
+    shift = np.array([p.displacement for p in planes]) / spacing
+    total, residuals = _value(views, shift)
+    grad, _ = _jacobian(views, shift, residuals)
     # chain rule through shift = displacement / spacing, per plane
     return total / views.n_frames, grad / spacing / views.n_frames
 
 
 def mc_optimize(views, lr=None, epochs=1000):
     """Minimise the alignment objective by Levenberg-Marquardt rounds: solve
-    ``(H + mu diag H) step = -g`` (:func:`_linearise`), keep the step only if
+    ``(H + mu diag H) step = -g`` (:func:`_jacobian`), keep the step only if
     it lowers the objective, and stop once a step moves no plane by
-    ``STEP_TOL_PX`` or after ``epochs`` rounds.  ``lr`` is ignored; it is
-    kept only for existing callers.  Returns the displacements per plane id
-    (also set on the planes) and the trace: the starting objective, then the
-    value tried in each round."""
+    ``STEP_TOL_PX`` or after ``epochs`` rounds.  A trial is scored by its
+    value alone (:func:`_value`, which samples every intersection line in one
+    gather), so g and H are built only at the start and at accepted steps.
+    ``lr`` is ignored; it is kept only for existing callers.  Returns the
+    displacements per plane id (also set on the planes) and the trace: the
+    starting objective, then the value tried in each round."""
     planes = views.planes()
     spacing = np.array([p.pixel_spacing for p in planes])
     shift = np.array([p.displacement for p in planes]) / spacing
-    value, grad, normal = _linearise(views, shift)
+    value, residuals = _value(views, shift)
     if not np.isfinite(value):
         raise RuntimeError("non-finite loss in motion correction")
+    grad, normal = _jacobian(views, shift, residuals)
     trace = [value]
     mu = MU_START
     for _ in range(epochs):
+        del residuals  # the previous point's; each trial samples its own
         system = normal + mu * np.diag(np.diag(normal))
         step = np.linalg.lstsq(system, -grad.ravel(), rcond=None)[0].reshape(-1, 2)
         if np.linalg.norm(step, axis=1).max() < STEP_TOL_PX:
             break
-        trial = _linearise(views, shift + step)
-        trace.append(trial[0])
-        if trial[0] < value:
-            shift, (value, grad, normal), mu = shift + step, trial, mu / MU_DOWN
+        trial, residuals = _value(views, shift + step)
+        trace.append(trial)
+        if trial < value:
+            shift, value, mu = shift + step, trial, mu / MU_DOWN
+            grad, normal = _jacobian(views, shift, residuals)
         else:
             mu *= MU_UP
     best = shift * spacing
@@ -326,21 +364,15 @@ def eval_intersections(views):
     otherwise).
     """
     planes = views.planes()
-    ints_a, ints_b = [], []
-    labs_a, labs_b = [], []
-    have_labels = all(p.label is not None for p in planes)
-    for i, j, pix_a, pix_b in views.pairs:
-        a, b = planes[i], planes[j]
-        ints_a.append(_bilinear(a.image, *a.displaced_pixels(pix_a).T)[0].ravel())
-        ints_b.append(_bilinear(b.image, *b.displaced_pixels(pix_b).T)[0].ravel())
-        if have_labels:
-            labs_a.append(_sample_nearest_label(a, pix_a).ravel())
-            labs_b.append(_sample_nearest_label(b, pix_b).ravel())
-    out = {"pearson_r": pearson_r(np.concatenate(ints_a), np.concatenate(ints_b))}
-    if have_labels:
-        la = np.concatenate(labs_a)
-        lb = np.concatenate(labs_b)
-        out["dice"] = _label_dice(la, lb)
+    lines = views.lines
+    x, y = lines.pixels(np.array([p.displacement for p in planes]) / [p.pixel_spacing for p in planes])
+    ints = _bilinear(lines, x, y)
+    out = {"pearson_r": pearson_r(*lines.sides(ints))}
+    if all(p.label is not None for p in planes):
+        _, h, w = lines.shape
+        x = np.clip(np.rint(x).astype(np.int64), 0, w - 1)
+        y = np.clip(np.rint(y).astype(np.int64), 0, h - 1)
+        out["dice"] = _label_dice(*lines.sides(lines.take(y * w + x, "label")))
     return out
 
 

@@ -11,7 +11,10 @@ looks called: this is a guard, not a proof.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -104,3 +107,16 @@ def test_every_public_name_has_a_caller():
 def test_allowed_names_exist_and_lack_a_caller():
     # an allowed name that gains a caller, or goes, leaves the list
     assert set(ALLOWED) <= uncalled_names()
+
+
+def test_benchmark_tracer_installs():
+    # benchmarks/tracing.py looks up by name each function it wraps, such as
+    # motion._bilinear, mc_objective, eval_intersections, mc_optimize and
+    # optim.Adam.step; a rename or removal makes install fail
+    code = "import cardioshape, tracing; tracing.install(tracing.Tracer(), cardioshape)"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "benchmarks", capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr

@@ -404,6 +404,22 @@ class TestExitCodes:
         assert rc == 2
         assert f"--k {k}" in err and features in err and f"1 <= k <= {top}" in err
 
+    @pytest.mark.parametrize("rows2, cols2", [(5, 4), (6, 3)])
+    def test_reid_shape_mismatch_names_both_files(self, tmp_path, capsys, rows2, cols2):
+        rng = np.random.default_rng(0)
+        t1, t2 = str(tmp_path / "t1.csv"), str(tmp_path / "t2.csv")
+        cio.save_features_csv(t1, rng.normal(size=(6, 4)))
+        cio.save_features_csv(t2, rng.normal(size=(rows2, cols2)))
+        rc = main(
+            [
+                "reid", "--features-t1", t1, "--features-t2", t2, "--k", "1",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{t1} is 6 x 4" in err and f"{t2} is {rows2} x {cols2}" in err
+
     def test_groups_row_count_names_file(self, tmp_path, capsys):
         cio.save_features_csv(tmp_path / "f.csv", np.random.default_rng(0).normal(size=(6, 4)))
         cio.save_groups_csv(tmp_path / "g.csv", ["x", "y", "x", "y", "x"])
@@ -584,4 +600,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert str(tmp_path / "cfg.json") in err and "'bogus-key'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("subjects", "abc"), ("scale", [0.1]), ("subjects", True)]
+    )
+    def test_config_value_of_wrong_type_names_file_and_key(self, tmp_path, capsys, key, value):
+        (tmp_path / "cfg.json").write_text(json.dumps({"frames": 1, key: value}))
+        rc = main(["synth", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config {tmp_path / 'cfg.json'}: {key!r}" in err and "usage" not in err
         assert not (tmp_path / "out").exists()

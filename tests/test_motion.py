@@ -5,16 +5,23 @@ from hypothesis import strategies as st
 
 from cardioshape import synth
 from cardioshape.motion import (
+    IRLS_FLOOR,
+    MU_DOWN,
+    MU_START,
+    MU_UP,
+    STEP_TOL_PX,
     SlicePlane,
     ViewSet,
     _bilinear,
+    _jacobian,
     _label_dice,
-    _linearise,
+    _value,
     eval_intersections,
     intersection_samples,
     mc_objective,
     mc_optimize,
 )
+from cardioshape.objectives import pearson_r
 
 
 def make_plane(origin, axis_u, axis_v, image, spacing=(1.0, 1.0), label=None, pid="p"):
@@ -29,29 +36,136 @@ def make_plane(origin, axis_u, axis_v, image, spacing=(1.0, 1.0), label=None, pi
     )
 
 
-def mixed_spacing_views():
+def mixed_spacing_views(la_shape=(24, 24), la_spacing=(1.0, 1.0)):
     """4 short-axis slices of 24 x 24 pixels at 1.0, 1.6, 1.0 and 1.3 mm plus
-    two long-axis planes, all cut from one smooth two-frame intensity field."""
+    two long-axis planes of ``la_shape`` (H, W) pixels at ``la_spacing``
+    (du, dv) mm, all cut from one smooth two-frame intensity field and
+    labelled by thresholding it."""
     waves = np.array([[0.31, 0.17, 0.23], [-0.12, 0.27, 0.19], [0.21, -0.25, 0.14]])
     x, y, z = np.eye(3)
 
-    def plane(origin, axis_u, axis_v, spacing, pid):
-        rows, cols = np.mgrid[0:24, 0:24]
+    def plane(origin, axis_u, axis_v, spacing, pid, shape=(24, 24)):
+        rows, cols = np.mgrid[0 : shape[0], 0 : shape[1]]
         world = (
             np.asarray(origin, dtype=float)
-            + cols[..., None] * spacing * axis_u
-            + rows[..., None] * spacing * axis_v
+            + cols[..., None] * spacing[0] * axis_u
+            + rows[..., None] * spacing[1] * axis_v
         )
         image = np.array([np.sin(world @ waves.T + t).sum(-1) for t in (0.0, 0.7)])
-        return make_plane(origin, axis_u, axis_v, image, (spacing, spacing), pid=pid)
+        label = np.digitize(image, [-1.0, 0.5])
+        return make_plane(origin, axis_u, axis_v, image, spacing, label=label, pid=pid)
 
     sax = [
-        plane([-11.5 * s, -11.5 * s, height], x, y, s, f"s{d}")
+        plane([-11.5 * s, -11.5 * s, height], x, y, (s, s), f"s{d}")
         for d, (height, s) in enumerate(zip((-3, -1, 1, 3), (1.0, 1.6, 1.0, 1.3)))
     ]
-    la_2ch = plane([-11.5, 0, -11.5], x, z, 1.0, "la_2ch")
-    la_4ch = plane([0, -11.5, -11.5], y, z, 1.0, "la_4ch")
+    la_2ch = plane([-11.5, 0, -11.5], x, z, la_spacing, "la_2ch", la_shape)
+    la_4ch = plane([0, -11.5, -11.5], y, z, la_spacing, "la_4ch", la_shape)
     return ViewSet(sax, la_2ch, la_4ch)
+
+
+def mixed_size_views():
+    """``mixed_spacing_views`` with long-axis planes of 30 x 20 pixels at
+    1.3 x 0.8 mm, unlike every short-axis slice in (H, W) and spacing."""
+    return mixed_spacing_views(la_shape=(30, 20), la_spacing=(1.3, 0.8))
+
+
+# The per-pair residual pass, solver loop and intersection metrics that the
+# batched value and Jacobian passes replaced, kept as the reference those
+# must equal bit for bit.
+
+
+def _ref_bilinear(image, px, py):
+    """Values and both derivatives, as the sampler returned them together."""
+    return _bilinear(image, px, py), *_bilinear(image, px, py, gradient=True)
+
+
+def _ref_pairs(views):
+    planes = views.planes()
+    n = len(views.sax)
+    out = []
+    for i, j in [(n, n + 1)] + [(d, n + k) for d in range(n) for k in (0, 1)]:
+        pts = intersection_samples(planes[i], planes[j])
+        if len(pts):
+            out.append((i, j, planes[i].world_to_pixels(pts), planes[j].world_to_pixels(pts)))
+    return out
+
+
+def _ref_linearise(views, shift):
+    planes = views.planes()
+    total = 0.0
+    grad = np.zeros(2 * len(planes))
+    normal = np.zeros((len(grad), len(grad)))
+
+    def add(residual, rows, coef, taps):
+        nonlocal total
+        size = np.abs(residual).ravel()
+        jac = taps.reshape(2 * len(rows), -1)
+        coef = np.repeat(coef, 2)
+        cols = [2 * k + axis for k in rows for axis in (0, 1)]
+        total += size.sum()
+        grad[cols] += coef * (jac @ np.sign(residual).ravel())
+        block = (jac / np.maximum(size, IRLS_FLOOR)) @ jac.T
+        normal[np.ix_(cols, cols)] += np.outer(coef, coef) * block
+
+    for i, j, pix_a, pix_b in _ref_pairs(views):
+        va, *da = _ref_bilinear(planes[i].image, *(pix_a + shift[i]).T)
+        vb, *db = _ref_bilinear(planes[j].image, *(pix_b + shift[j]).T)
+        add(va - vb, (i, j), (1.0, -1.0), np.array(da + db))
+    sampled = [
+        _ref_bilinear(p.image, np.arange(p.shape[1]) + x, np.arange(p.shape[0])[:, None] + y)
+        for p, (x, y) in zip(views.sax, shift)
+    ]
+    taps = np.array([s[1:] for s in sampled])
+    for d in range(1, len(sampled) - 1):
+        second = 0.5 * (sampled[d - 1][0] + sampled[d + 1][0]) - sampled[d][0]
+        add(second, (d - 1, d, d + 1), (0.5, -1.0, 0.5), taps[d - 1 : d + 2])
+    return total, grad.reshape(-1, 2), normal
+
+
+def _ref_optimize(views, epochs):
+    planes = views.planes()
+    spacing = np.array([p.pixel_spacing for p in planes])
+    shift = np.array([p.displacement for p in planes]) / spacing
+    value, grad, normal = _ref_linearise(views, shift)
+    trace = [value]
+    mu = MU_START
+    for _ in range(epochs):
+        system = normal + mu * np.diag(np.diag(normal))
+        step = np.linalg.lstsq(system, -grad.ravel(), rcond=None)[0].reshape(-1, 2)
+        if np.linalg.norm(step, axis=1).max() < STEP_TOL_PX:
+            break
+        trial = _ref_linearise(views, shift + step)
+        trace.append(trial[0])
+        if trial[0] < value:
+            shift, (value, grad, normal), mu = shift + step, trial, mu / MU_DOWN
+        else:
+            mu *= MU_UP
+    return shift * spacing, np.array(trace) / views.n_frames
+
+
+def _ref_eval_intersections(views):
+    planes = views.planes()
+    ints_a, ints_b, labs_a, labs_b = [], [], [], []
+
+    def nearest_label(plane, pix):
+        h, w = plane.shape
+        x = np.clip(np.rint(pix[:, 0]).astype(np.int64), 0, w - 1)
+        y = np.clip(np.rint(pix[:, 1]).astype(np.int64), 0, h - 1)
+        return plane.label[:, y, x]
+
+    for i, j, pix_a, pix_b in _ref_pairs(views):
+        a, b = planes[i], planes[j]
+        pix_a = pix_a + a.displacement / np.array(a.pixel_spacing)
+        pix_b = pix_b + b.displacement / np.array(b.pixel_spacing)
+        ints_a.append(_bilinear(a.image, *pix_a.T).ravel())
+        ints_b.append(_bilinear(b.image, *pix_b.T).ravel())
+        labs_a.append(nearest_label(a, pix_a).ravel())
+        labs_b.append(nearest_label(b, pix_b).ravel())
+    return {
+        "pearson_r": pearson_r(np.concatenate(ints_a), np.concatenate(ints_b)),
+        "dice": _label_dice(np.concatenate(labs_a), np.concatenate(labs_b)),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +224,8 @@ class TestIntersectionSamples:
 
 def corrected_sample(plane, point, t):
     """Motion-corrected intensity of frame ``t`` at a 3-D point on ``plane``."""
-    pix = plane.displaced_pixels(plane.world_to_pixels(point))
-    return _bilinear(plane.image, pix[:, 0], pix[:, 1])[0][t, 0]
+    pix = plane.world_to_pixels(point) + plane.displacement / np.array(plane.pixel_spacing)
+    return _bilinear(plane.image, pix[:, 0], pix[:, 1])[t, 0]
 
 
 class TestBilinear:
@@ -153,7 +267,7 @@ class TestBilinearProperties:
         image = np.random.default_rng(seed).normal(size=shape)
         _, h, w = shape
         rows, cols = np.mgrid[0:h, 0:w].astype(float)
-        vals, _, _ = _bilinear(image, cols.ravel(), rows.ravel())
+        vals = _bilinear(image, cols.ravel(), rows.ravel())
         assert np.array_equal(vals, image.reshape(shape[0], -1))
 
     @settings(max_examples=25, deadline=None)
@@ -168,9 +282,9 @@ class TestBilinearProperties:
         n_frames, h, w = shape
         xs = np.arange(w) + shift[0] * w
         ys = np.arange(h)[:, None] + shift[1] * h
-        grid = _bilinear(image, xs, ys)
+        grid = _ref_bilinear(image, xs, ys)
         gx, gy = np.broadcast_arrays(xs, ys)
-        points = _bilinear(image, gx.ravel(), gy.ravel())
+        points = _ref_bilinear(image, gx.ravel(), gy.ravel())
         for whole, flat in zip(grid, points):
             assert whole.shape == (n_frames, h, w)
             assert np.array_equal(whole, flat.reshape(n_frames, h, w))
@@ -277,7 +391,7 @@ class TestObjective:
         ]
         views = ViewSet(sax, a, b)
         with pytest.warns(UserWarning, match="empty intersection"):
-            assert len(views.pairs) == 1
+            assert len(views.lines.pairs) == 1
         base, _ = mc_objective(views)
         a.displacement = np.array([0.0, 1.3])  # v axis is z for both planes
         b.displacement = np.array([0.0, 1.3])
@@ -291,12 +405,71 @@ class TestObjective:
         rng = np.random.Generator(np.random.Philox(29))
         views, _ = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
         shift = np.random.default_rng(5).normal(0, 1.0, (len(views.planes()), 2))
-        value, grad, normal = _linearise(views, shift)
+        grad, normal = _jacobian(views, shift, _value(views, shift)[1])
         assert normal.shape == (grad.size, grad.size)
         scale = np.abs(normal).max()
         assert np.abs(normal - normal.T).max() <= 1e-12 * scale
         assert np.linalg.eigvalsh(normal).min() >= -1e-12 * scale
         assert (np.diag(normal) > 0).all()
+
+
+# one (shift, start displacement) coordinate per plane and axis
+coordinates = st.lists(st.floats(-6.0, 6.0), min_size=12, max_size=12).map(
+    lambda v: np.reshape(v, (6, 2))
+)
+each_view_set = pytest.mark.parametrize(
+    "build", [mixed_spacing_views, mixed_size_views], ids=["mixed_spacing", "mixed_size"]
+)
+
+
+class TestBatchedPasses:
+    """The value and Jacobian passes, the solver and the intersection metrics
+    equal the per-pair reference exactly (tolerance 0)."""
+
+    @each_view_set
+    @settings(max_examples=20, deadline=None)
+    @given(shift=coordinates)
+    def test_value_gradient_normal_equal_reference(self, build, shift):
+        views = build()
+        value, residuals = _value(views, shift)
+        grad, normal = _jacobian(views, shift, residuals)
+        ref_value, ref_grad, ref_normal = _ref_linearise(views, shift)
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(normal, ref_normal)
+
+    @each_view_set
+    @settings(max_examples=4, deadline=None)
+    @given(start=coordinates)
+    def test_optimize_equals_reference_loop(self, build, start):
+        views = build()
+        for p, d in zip(views.planes(), start):
+            p.displacement = d.copy()
+        ref_displacements, ref_trace = _ref_optimize(views, epochs=60)
+        displacements, trace = mc_optimize(views, epochs=60)
+        assert np.array_equal(trace, ref_trace)
+        for p, d in zip(views.planes(), ref_displacements):
+            assert np.array_equal(displacements[p.plane_id], d)
+
+    def test_optimize_equals_reference_loop_on_synthetic_views(self, synthetic_views):
+        intensity, labels, geom, specs = synthetic_views
+        rng = np.random.Generator(np.random.Philox(13))
+        views, _ = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
+        ref_displacements, ref_trace = _ref_optimize(views, epochs=150)
+        displacements, trace = mc_optimize(views, epochs=150)
+        assert np.array_equal(trace, ref_trace)
+        for p, d in zip(views.planes(), ref_displacements):
+            assert np.array_equal(displacements[p.plane_id], d)
+        assert eval_intersections(views) == _ref_eval_intersections(views)
+
+    @each_view_set
+    @settings(max_examples=10, deadline=None)
+    @given(displacements=coordinates)
+    def test_eval_intersections_equals_reference(self, build, displacements):
+        views = build()
+        for p, d in zip(views.planes(), displacements):
+            p.displacement = d.copy()
+        assert eval_intersections(views) == _ref_eval_intersections(views)
 
 
 class TestOptimize:
@@ -456,6 +629,18 @@ class TestViewSetValidation:
         la2 = make_plane([0, 0, 0], [1, 0, 0], [0, 0, 1], img, pid="la2")
         with pytest.raises(ValueError, match=r"slice s1 is \(3, 4\)"):
             ViewSet(sax, la1, la2)
+
+    def test_no_intersection_rejected(self):
+        img = np.zeros((1, 4, 4))
+        sax = [
+            make_plane([0, 0, z], [1, 0, 0], [0, 1, 0], img, pid=f"s{z}") for z in (0, 1, 2)
+        ]
+        la1 = make_plane([50, 0, 0], [0, 1, 0], [0, 0, 1], img, pid="la1")
+        la2 = make_plane([0, 80, 0], [1, 0, 0], [0, 0, 1], img, pid="la2")
+        views = ViewSet(sax, la1, la2)
+        with pytest.warns(UserWarning, match="empty intersection"):
+            with pytest.raises(ValueError, match="no two planes"):
+                mc_optimize(views)
 
     def test_nonunit_axis_rejected(self):
         with pytest.raises(ValueError, match="unit"):
