@@ -166,6 +166,8 @@ def cmd_mc(args):
 def cmd_fit(args):
     template = cio.load_chamber_set(args.template)
     targets = cio.load_target_clouds(args.targets)
+    if set(targets.structures()) != set(STRUCTURES):
+        raise cio.ValidationError(f"--targets {args.targets}: must cover all five structures")
     cfg = FitConfig(
         dims_coarse=tuple(args.dims_coarse),
         dims_mid=tuple(args.dims_mid),
@@ -211,7 +213,21 @@ def _to_model_space(seq, template):
     return MeshSequence([rigid_align(frame, template)[2] for frame in seq.frames])
 
 
+# The files each ssm action reads, besides --template.
+_SSM_FLAGS = {
+    "train": ("data",),
+    "encode": ("model", "meshes"),
+    "decode": ("model", "weights"),
+    "fit-contours": ("model", "contours"),
+    "complete": ("model", "meshes"),
+    "modes": ("model",),
+}
+
+
 def cmd_ssm(args):
+    missing = [f"--{f}" for f in _SSM_FLAGS[args.action] if getattr(args, f) is None]
+    if missing:
+        raise cio.ValidationError(f"ssm {args.action} needs {' and '.join(missing)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     template = cio.load_chamber_set(args.template)
@@ -285,7 +301,6 @@ def cmd_ssm(args):
         seq = cssm.sample_mode(model, args.pc, args.sd)
         cio.save_sequence(out / f"mode_{args.pc}_{args.sd:+g}sd", seq)
         return 0
-    raise cio.ValidationError(f"unknown ssm action {args.action!r}")
 
 
 def cmd_pheno(args):
@@ -401,8 +416,6 @@ def cmd_eval(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.suite != "acceptance":
-        raise cio.ValidationError(f"unknown suite {args.suite!r}")
     results = acceptance.run_all(
         only=args.criteria, workdir=out / "eval_artifacts"
     )
@@ -463,7 +476,10 @@ def build_parser():
     p.add_argument("--model", type=Path)
     p.add_argument("--meshes", type=Path)
     p.add_argument("--weights", type=Path)
-    p.add_argument("--contours", type=Path)
+    p.add_argument(
+        "--contours", type=Path,
+        help="fit-contours: target-clouds file of model-space (template-aligned) points, used as given",
+    )
     p.add_argument("--observed", type=str, default="0")
     p.add_argument("--components", type=int, default=128)
     p.add_argument("--batch-size", type=int, default=128)
@@ -504,7 +520,7 @@ def build_parser():
     p.set_defaults(func=cmd_reid)
 
     p = sub.add_parser("eval", help="run verification suites")
-    p.add_argument("--suite", type=str, default="acceptance")
+    p.add_argument("--suite", choices=("acceptance",), default="acceptance")
     p.add_argument("--criteria", type=int, nargs="*", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_eval)

@@ -2,15 +2,16 @@
 
 A lattice stores one 3-D displacement per control point; warping a point
 blends the 4x4x4 neighbouring displacements with the uniform cubic B-spline
-basis.  Multi-scale deformation composes lattices sequentially (the coarse
-result is re-evaluated inside the finer lattice), and analytic gradients are
-provided both with respect to the control displacements and, for chained
-lattices, with respect to the input points.
+basis.  :func:`compose_warp` chains lattices (the coarse result is
+re-evaluated inside the finer lattice), with analytic gradients with respect
+to the control displacements and, through :func:`pull_back`, the input
+points.  Subject fitting instead sums lattices at one set of points.
 
 All of it goes through one sparse operator of basis weights, :func:`weights`:
 a warp is ``p + W @ D``, the displacement gradient ``W.T @ U``.  Lattices
 sharing a geometry and input points share ``W``, with displacements stacked
-as columns of ``D``.
+as columns of ``D``; lattices of other geometries at the same points add
+their own products.
 """
 
 import numpy as np
@@ -208,17 +209,10 @@ def warp_jacobian(grid, points):
 
 
 def pull_back(grid, points, upstream):
-    """``(I + J)^T upstream`` for ``p' = p + D(p)``: dLoss/dp from dLoss/dp'.
-
-    Builds one derivative operator at a time, so the three never coexist.
-    """
-    d = grid.displacements.reshape(-1, 3)
+    """``(I + J)^T upstream`` for ``p' = p + D(p)``: dLoss/dp from dLoss/dp',
+    with ``J`` from :func:`warp_jacobian`."""
     up = np.asarray(upstream, dtype=np.float64)
-    out = up.copy()
-    for ax in range(3):
-        jac_col = weights(grid, points, deriv_axis=ax) @ d
-        out[:, ax] += np.einsum("nm,nm->n", jac_col, up)
-    return out
+    return up + np.einsum("nmk,nm->nk", warp_jacobian(grid, points), up)
 
 
 def compose_warp(grids, points):

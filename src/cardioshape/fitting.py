@@ -1,18 +1,19 @@
 """Subject fitting: optimise multi-scale FFD lattices so the template matches
 per-frame target point clouds.
 
-Stage 1 fits two global lattices (coarse then mid, composed sequentially) on
-the first frame, producing the subject's initial mesh.  Stage 2 fits one
-fine lattice per frame, jointly across frames, under the full objective so
-the temporal and cycle terms can act.  The output sequence keeps the
-template connectivity exactly.
+Stage 1 fits two global lattices on the first frame, coarse and mid summed
+at the template vertices (a multilevel B-spline), giving the subject's
+initial mesh.  Stage 2 fits one fine lattice per frame at that mesh, jointly
+across frames, under the full objective so the temporal and cycle terms can
+act.  Both stages are one Adam loop over weight operators built once per
+fit.  The output sequence keeps the template connectivity exactly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ffd import ControlGrid, pull_back, weights
+from .ffd import ControlGrid, weights
 from .mesh import STRUCTURES, MeshSequence, Topology, mean_curvature
 from .objectives import total_loss
 from .optim import descend
@@ -42,30 +43,57 @@ class FitConfig:
 
 
 def _fit_box(template, targets):
-    pts = [template.all_vertices()]
-    for fr in targets.frames:
-        pts.extend(fr.values())
-    allp = np.concatenate(pts)
+    allp = np.concatenate([template.all_vertices()] + [lp.points for lp in targets.pooled])
     lo = allp.min(axis=0)
     hi = allp.max(axis=0)
     margin = 0.1 * (hi - lo) + 1.0
     return lo - margin, hi + margin
 
 
-def _check_finite(x, stage, it):
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError(f"non-finite vertex coordinates in stage {stage}, iteration {it}")
+def _fit_stage(ops, base, clouds, loss, cfg, what):
+    """Adam over the displacements of lattices with fixed weight operators.
+
+    Frame t is ``base + sum_k ops[k] @ D_k[:, t]``, and the gradient of
+    ``D_k`` is ``ops[k].T @ U`` for the loss gradient ``U``.  Each ``D_k`` is
+    held as ``(G_k, 3T)``, so one product per operator moves every frame.
+    Returns each kept ``D_k`` as ``(G_k, T, 3)``, the kept frames and every
+    loss value.
+    """
+    n_frames = clouds.n_frames
+    cols = 3 * n_frames
+    ends = np.cumsum([w.shape[1] * cols for w in ops])
+
+    def warp(params):
+        parts = np.split(params, ends[:-1])
+        moved = ops[0] @ parts[0].reshape(-1, cols)
+        for w, d in zip(ops[1:], parts[1:]):
+            moved += w @ d.reshape(-1, cols)
+        x = moved.reshape(-1, n_frames, 3).transpose(1, 0, 2).copy()
+        x += base
+        return x
+
+    def objective(params, it):
+        x = warp(params)
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError(f"non-finite vertex coordinates in {what}, iteration {it}")
+        value, grad, _ = loss(x, clouds)
+        del x
+        up = grad.transpose(1, 0, 2).reshape(-1, cols)
+        del grad
+        return value, np.concatenate([(w.T @ up).ravel() for w in ops])
+
+    best, _, values = descend(objective, np.zeros(ends[-1]), cfg.iterations, cfg.lr_at, what)
+    kept = [d.reshape(-1, n_frames, 3) for d in np.split(best, ends[:-1])]
+    return kept, warp(best), values
 
 
 def fit_sequence(template, targets, cfg=None):
     """Fit the template to per-frame target clouds.
 
-    Lattices are applied through their weight operators (:func:`ffd.weights`):
-    the coarse one is built once, the mid one once per stage-1 iteration, and
-    one serves every fine lattice, so all frames warp in one product.  The
-    losses see the warped vertices as one ``(T, V, 3)`` array with the
-    template's :class:`Topology`, whose pooled connectivity is built once;
-    the returned sequence is the only mesh object the fit builds.
+    Both stages run :func:`_fit_stage` on operators of :func:`ffd.weights`,
+    three per fit.  The losses see the warped vertices as one ``(T, V, 3)``
+    array with the template's :class:`Topology`; the returned sequence is
+    the only mesh object the fit builds.
 
     Parameters
     ----------
@@ -78,7 +106,10 @@ def fit_sequence(template, targets, cfg=None):
     -------
     sequence : MeshSequence
     grids : dict
-        ``{"coarse": ControlGrid, "mid": ControlGrid, "fine": [ControlGrid]}``.
+        ``{"coarse": ControlGrid, "mid": ControlGrid, "fine": [ControlGrid]}``:
+        the stage-1 mesh is the template plus the coarse and mid
+        displacements at its vertices, and frame t is ``fine[t]`` applied
+        to that mesh.
     trace : list of (stage, iteration, loss)
     """
     cfg = cfg or FitConfig()
@@ -90,75 +121,29 @@ def fit_sequence(template, targets, cfg=None):
     lo, hi = _fit_box(template, targets)
     coarse = ControlGrid.for_box(lo, hi, cfg.dims_coarse)
     mid = ControlGrid.for_box(lo, hi, cfg.dims_mid)
+    fines = [ControlGrid.for_box(lo, hi, cfg.dims_fine) for _ in range(n_frames)]
     p0 = template.all_vertices()
-    trace = []
 
     def loss(x, clouds):
         return total_loss(x, topology, clouds, template_curvatures)
 
-    # Stage 1: global grids against the first frame.
-    frame1 = targets.frame(0)
-    split = coarse.displacements.size
-    w_coarse = weights(coarse, p0)
+    # Stage 1: the global lattices, summed at the template, against frame 0.
+    (d_coarse, d_mid), (initial,), values1 = _fit_stage(
+        [weights(coarse, p0), weights(mid, p0)], p0, targets.frame(0), loss, cfg, "stage 1"
+    )
+    coarse.displacements = d_coarse.reshape(coarse.displacements.shape)
+    mid.displacements = d_mid.reshape(mid.displacements.shape)
 
-    def set_global(param_vec, it):
-        coarse.displacements = param_vec[:split].reshape(coarse.displacements.shape)
-        mid.displacements = param_vec[split:].reshape(mid.displacements.shape)
-        x1 = p0 + w_coarse @ param_vec[:split].reshape(-1, 3)
-        _check_finite(x1, 1, it)
-        w_mid = weights(mid, x1)
-        warped = x1 + w_mid @ param_vec[split:].reshape(-1, 3)
-        _check_finite(warped, 1, it)
-        return x1, w_mid, warped
-
-    def global_objective(param_vec, it):
-        x1, w_mid, warped = set_global(param_vec, it)
-        value, grad, _ = loss(warped[None], frame1)
-        up = grad[0]
-        del grad
-        grad_mid = w_mid.T @ up
-        del w_mid
-        grad_coarse = w_coarse.T @ pull_back(mid, x1, up)
-        return value, np.concatenate([grad_coarse.ravel(), grad_mid.ravel()])
-
-    params = np.zeros(split + mid.displacements.size)
-    best, best_it, values = descend(global_objective, params, cfg.iterations, cfg.lr_at, "stage 1")
-    trace.extend(("global", it, value) for it, value in enumerate(values))
-    initial = set_global(best, best_it)[2]
-    del w_coarse, frame1
-
-    # Stage 2: per-frame fine grids, jointly under the full objective.
-    # params[g, t, :] is frame t's displacement of control point g, so the
-    # (G, 3T) view of params warps every frame in one product.
-    fine_shape = tuple(cfg.dims_fine) + (3,)
-    fines = [ControlGrid.for_box(lo, hi, cfg.dims_fine) for _ in range(n_frames)]
-    w_fine = weights(fines[0], initial)
-    n_ctrl = w_fine.shape[1]
-
-    def warp_frames(param_vec):
-        moved = w_fine @ param_vec.reshape(n_ctrl, 3 * n_frames)
-        x = moved.reshape(-1, n_frames, 3).transpose(1, 0, 2).copy()
-        x += initial
-        return x
-
-    def frames_objective(param_vec, it):
-        x = warp_frames(param_vec)
-        _check_finite(x, 2, it)
-        value, grad, _ = loss(x, targets)
-        del x
-        grad_vec = (w_fine.T @ grad.transpose(1, 0, 2).reshape(-1, 3 * n_frames)).ravel()
-        del grad
-        return value, grad_vec
-
-    params = np.zeros(n_ctrl * n_frames * 3)
-    best, _, values = descend(frames_objective, params, cfg.iterations, cfg.lr_at, "stage 2")
-    trace.extend(("frames", it, value) for it, value in enumerate(values))
-    per_frame = best.reshape(n_ctrl, n_frames, 3)
-    for t in range(n_frames):
-        fines[t].displacements = per_frame[:, t].reshape(fine_shape).copy()
-    x = warp_frames(best)
+    # Stage 2: one fine lattice per frame, all at the stage-1 mesh.
+    (d_fine,), x, values2 = _fit_stage(
+        [weights(fines[0], initial)], initial, targets, loss, cfg, "stage 2"
+    )
+    for t, fine in enumerate(fines):
+        fine.displacements = d_fine[:, t].reshape(fine.displacements.shape).copy()
     seq = MeshSequence([template.with_all_vertices(x[t]) for t in range(n_frames)])
     grids = {"coarse": coarse, "mid": mid, "fine": fines}
+    trace = [("global", it, v) for it, v in enumerate(values1)]
+    trace += [("frames", it, v) for it, v in enumerate(values2)]
     return seq, grids, trace
 
 

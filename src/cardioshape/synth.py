@@ -51,6 +51,15 @@ _MOTION = {
     "RA": (0.6, np.pi / 2),
 }
 
+# Standard deviation of the subjects' shape-mode weights.
+MODE_AMPLITUDE = 2.0
+# Peak radial contraction at relative amplitude 1 and motion scale 1.
+MOTION_AMPLITUDE = 0.16
+# Relative spread of the per-subject contraction amplitude.  Makes motion
+# a genuine subject trait: the first frame (motion factor 1) cannot
+# reveal it, so completing a sequence from one frame is truly ambiguous.
+MOTION_JITTER = 0.25
+
 
 @dataclass
 class SynthConfig:
@@ -58,12 +67,6 @@ class SynthConfig:
     scale: float = 0.1
     budgets: tuple = None
     n_modes: int = 6
-    mode_amplitude: float = 2.0
-    motion_amplitude: float = 0.16
-    # Relative spread of the per-subject contraction amplitude.  Makes motion
-    # a genuine subject trait: the first frame (motion factor 1) cannot
-    # reveal it, so completing a sequence from one frame is truly ambiguous.
-    motion_jitter: float = 0.25
     n_frames: int = 50
     voxel_size: float = 2.0
     displacement_sigma: float = 2.0
@@ -222,8 +225,8 @@ def synth_population(cfg, n_subjects):
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     template, curvatures = make_template(cfg)
     fields = _mode_fields(template, cfg, rng)
-    weights = rng.normal(0.0, cfg.mode_amplitude, size=(n_subjects, cfg.n_modes))
-    amp = cfg.mode_amplitude if cfg.mode_amplitude > 0 else 1.0
+    weights = rng.normal(0.0, MODE_AMPLITUDE, size=(n_subjects, cfg.n_modes))
+    amp = MODE_AMPLITUDE if MODE_AMPLITUDE > 0 else 1.0
     attributes = {
         "group": (weights[:, 0] > 0).astype(int),
         "age": 55.0 + 8.0 * weights[:, 1] / amp + rng.normal(0.0, 2.0, n_subjects),
@@ -231,7 +234,7 @@ def synth_population(cfg, n_subjects):
     }
     attributes = {k: v for k, v in attributes.items() if v is not None}
     motion_scales = np.clip(
-        1.0 + cfg.motion_jitter * rng.normal(size=n_subjects), 0.2, 1.8
+        1.0 + MOTION_JITTER * rng.normal(size=n_subjects), 0.2, 1.8
     )
     sequences = [
         _subject_sequence(template, fields, weights[i], cfg, motion_scales[i])
@@ -251,7 +254,7 @@ def _subject_sequence(template, fields, w, cfg, motion_scale=1.0):
     shape = template.with_all_vertices(
         template.all_vertices() + np.tensordot(w, fields, axes=1)
     )
-    amplitude = cfg.motion_amplitude * motion_scale
+    amplitude = MOTION_AMPLITUDE * motion_scale
     frames = []
     for t in range(cfg.n_frames):
         coords = {}

@@ -479,6 +479,52 @@ class TestExitCodes:
         assert rc == 2
         assert "lr" in capsys.readouterr().err
 
+    def test_fit_targets_missing_structure_names_file(self, synth_dir, tmp_path, capsys):
+        template = cio.load_chamber_set(synth_dir / "template")
+        path = tmp_path / "targets.bin"
+        cio.save_target_clouds(path, TargetClouds([{"RV": template["RV"].vertices}]))
+        rc = main(
+            [
+                "fit", "--template", str(synth_dir / "template"), "--targets", str(path),
+                "--iterations", "2", "--out", str(tmp_path / "fit"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--targets {path}" in err and "five structures" in err
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize(
+        "action, flags, flag",
+        [
+            ("train", ["--data"], "--data"),
+            ("encode", ["--model", "--meshes"], "--model"),
+            ("encode", ["--model", "--meshes"], "--meshes"),
+            ("complete", ["--model", "--meshes"], "--meshes"),
+            ("decode", ["--model", "--weights"], "--weights"),
+            ("fit-contours", ["--model", "--contours"], "--contours"),
+            ("fit-contours", ["--model", "--contours"], "--model"),
+            ("modes", ["--model"], "--model"),
+        ],
+    )
+    def test_ssm_action_without_a_needed_flag_exit_2(
+        self, synth_dir, tmp_path, capsys, action, flags, flag
+    ):
+        given = [x for f in flags if f != flag for x in (f, str(tmp_path / "absent"))]
+        rc = main(
+            ["ssm", action, "--template", str(synth_dir / "template"), *given,
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"ssm {action} needs {flag}" in err and "TypeError" not in err
+
+    def test_eval_unknown_suite_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--suite", "bogus", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "acceptance" in capsys.readouterr().err
+
     def test_non_finite_fit_exit_1(self, synth_dir, tmp_path, monkeypatch, capsys):
         from cardioshape import optim
 

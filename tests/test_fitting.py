@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cardioshape import mesh, optim, synth
+from cardioshape import fitting, mesh, optim, synth
 from cardioshape.ffd import ControlGrid, warp_points
 from cardioshape.fitting import FitConfig, extract_surface_points, fit_sequence
 from cardioshape.mesh import STRUCTURES, MeshSequence
@@ -203,6 +205,57 @@ def tiny_fit_inputs():
 
 
 class TestFitLoops:
+    @pytest.mark.parametrize("iterations", [1, 4])
+    def test_three_operators_per_fit(self, tiny_fit_inputs, monkeypatch, iterations):
+        # coarse and mid at the template, fine at the stage-1 mesh
+        template, targets, fit_cfg = tiny_fit_inputs
+        built = []
+        weights = fitting.weights
+
+        def counting_weights(grid, points, *args):
+            built.append(grid.dims)
+            return weights(grid, points, *args)
+
+        monkeypatch.setattr(fitting, "weights", counting_weights)
+        fit_cfg = dataclasses.replace(fit_cfg, iterations=iterations)
+        fit_sequence(template, targets, fit_cfg)
+        assert built == [fit_cfg.dims_coarse, fit_cfg.dims_mid, fit_cfg.dims_fine]
+
+    def test_grids_reproduce_every_frame(self, self_reconstruction):
+        template, targets, _, (seq, grids, _) = self_reconstruction
+        p0 = template.all_vertices()
+        # the global lattices are summed at the template vertices
+        initial = warp_points(grids["coarse"], p0) + warp_points(grids["mid"], p0) - p0
+        for t, fine in enumerate(grids["fine"]):
+            fitted = seq.frames[t].all_vertices()
+            assert np.abs(warp_points(fine, initial) - fitted).max() < 1e-9
+
+    def test_stage1_gradient_matches_finite_differences(self, tiny_fit_inputs, monkeypatch):
+        template, targets, fit_cfg = tiny_fit_inputs
+        objectives = []
+        descend = fitting.descend
+
+        def capturing_descend(objective, params, *args):
+            objectives.append((objective, params.size))
+            return descend(objective, params, *args)
+
+        monkeypatch.setattr(fitting, "descend", capturing_descend)
+        fit_sequence(template, targets, fit_cfg)
+        objective, size = objectives[0]
+        n_coarse = 3 * np.prod(fit_cfg.dims_coarse)
+        assert size == n_coarse + 3 * np.prod(fit_cfg.dims_mid)
+        rng = np.random.default_rng(5)
+        params = rng.normal(0.0, 0.5, size)
+        _, grad = objective(params, 0)
+        h = 1e-5
+        # probes in both the coarse and the mid block
+        probes = [rng.choice(n_coarse, 6), n_coarse + rng.choice(size - n_coarse, 6)]
+        for i in np.concatenate(probes):
+            step = np.zeros(size)
+            step[i] = h
+            fd = (objective(params + step, 0)[0] - objective(params - step, 0)[0]) / (2 * h)
+            assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd)), (i, grad[i], fd)
+
     def test_meshes_built_only_for_the_result(self, tiny_fit_inputs, monkeypatch):
         template, targets, fit_cfg = tiny_fit_inputs
         built = []

@@ -80,13 +80,14 @@ class TestVolumeCurve:
         curve = volume_curve(seq, "LV-endo")
         assert np.ptp(curve) == 0.0
 
-    def test_prescribed_modulation(self):
-        cfg = synth.SynthConfig(scale=0.03, n_frames=8, seed=2, motion_jitter=0.0)
+    def test_prescribed_modulation(self, monkeypatch):
+        monkeypatch.setattr(synth, "MOTION_JITTER", 0.0)
+        cfg = synth.SynthConfig(scale=0.03, n_frames=8, seed=2)
         pop = synth.synth_population(cfg, 1)
         curve = volume_curve(pop.sequences[0], "LV-endo")
         factors = np.array(
             [
-                synth._motion_factor("LV-endo", t, cfg.n_frames, cfg.motion_amplitude)
+                synth._motion_factor("LV-endo", t, cfg.n_frames, synth.MOTION_AMPLITUDE)
                 for t in range(cfg.n_frames)
             ]
         )
@@ -166,12 +167,12 @@ class TestPhenotypeTable:
             for name in ("LVSV", "RVSV", "LASV", "RASV"):
                 assert getattr(t, name) >= 0
 
-    def test_generator_ground_truth_ef(self):
+    def test_generator_ground_truth_ef(self, monkeypatch):
         # prescribed motion at zero jitter: EF = 1 - (1 - amplitude)^3; an odd
         # frame count puts the contraction peak exactly on a frame
-        cfg = synth.SynthConfig(
-            scale=0.03, n_frames=11, seed=6, motion_jitter=0.0, motion_amplitude=0.16
-        )
+        monkeypatch.setattr(synth, "MOTION_JITTER", 0.0)
+        monkeypatch.setattr(synth, "MOTION_AMPLITUDE", 0.16)
+        cfg = synth.SynthConfig(scale=0.03, n_frames=11, seed=6)
         pop = synth.synth_population(cfg, 2)
         expected = 100.0 * (1.0 - (1.0 - 0.16) ** 3)
         for seq in pop.sequences:

@@ -87,15 +87,14 @@ class TestVertexCorrelation:
         r, p, sig = vertex_correlation(fields, rng.normal(size=30))
         assert r[2] == 0.0 and not sig[2]
 
-    def test_recovers_generator_mode_link(self):
+    def test_recovers_generator_mode_link(self, monkeypatch):
         cfg = synth.SynthConfig(scale=0.02, n_frames=3, seed=11, n_modes=4)
         pop = synth.synth_population(cfg, 150)
+        # the mean subject: zero mode weights and unjittered motion
+        monkeypatch.setattr(synth, "MODE_AMPLITUDE", 0.0)
+        monkeypatch.setattr(synth, "MOTION_JITTER", 0.0)
         mean_seq = synth.synth_population(
-            synth.SynthConfig(
-                scale=0.02, n_frames=3, seed=12, n_modes=4, mode_amplitude=0.0,
-                motion_jitter=0.0,
-            ),
-            1,
+            synth.SynthConfig(scale=0.02, n_frames=3, seed=12, n_modes=4), 1
         ).sequences[0]
         fields = np.stack(
             [signed_variation(seq, mean_seq) for seq in pop.sequences]

@@ -79,16 +79,16 @@ class TestSynthPopulation:
             value, _ = cycle_loss(*pooled(seq))
             assert value < 1e-9
 
-    def test_zero_weight_subject_is_template_with_motion(self):
-        cfg = synth.SynthConfig(
-            scale=0.02, n_frames=4, seed=2, mode_amplitude=0.0, motion_jitter=0.0
-        )
+    def test_zero_weight_subject_is_template_with_motion(self, monkeypatch):
+        monkeypatch.setattr(synth, "MODE_AMPLITUDE", 0.0)
+        monkeypatch.setattr(synth, "MOTION_JITTER", 0.0)
+        cfg = synth.SynthConfig(scale=0.02, n_frames=4, seed=2)
         pop = synth.synth_population(cfg, 1)
         for t, frame in enumerate(pop.sequences[0].frames):
             for s in STRUCTURES:
                 v_tpl = pop.template[s].vertices
                 center = v_tpl.mean(axis=0)
-                factor = synth._motion_factor(s, t, cfg.n_frames, cfg.motion_amplitude)
+                factor = synth._motion_factor(s, t, cfg.n_frames, synth.MOTION_AMPLITUDE)
                 expected = center + factor * (v_tpl - center)
                 assert np.abs(frame[s].vertices - expected).max() < 1e-9
 
