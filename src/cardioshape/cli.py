@@ -228,8 +228,6 @@ def cmd_ssm(args):
     missing = [f"--{f}" for f in _SSM_FLAGS[args.action] if getattr(args, f) is None]
     if missing:
         raise cio.ValidationError(f"ssm {args.action} needs {' and '.join(missing)}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     template = cio.load_chamber_set(args.template)
     if args.action == "train":
         if args.batch_size < 1:
@@ -251,10 +249,13 @@ def cmd_ssm(args):
             cssm.ipca_partial_fit(model, batch)
         if model.n_active == 0:
             raise cio.ValidationError(f"--data {args.data}: no shape variation, so no component")
-        cio.save_model(out / "model.hssm", model, model.topology)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        cio.save_model(Path(args.out) / "model.hssm", model, model.topology)
         return 0
 
     model = cio.load_model(args.model, template)
+    out = Path(args.out)  # made only once the inputs have loaded
+    out.mkdir(parents=True, exist_ok=True)
     topology = model.topology
     if args.action == "encode":
         seq = _to_model_space(cio.load_sequence(args.meshes), template)

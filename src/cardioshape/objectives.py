@@ -9,7 +9,10 @@ make one pass per frame over every structure through the topology's pooled
 connectivity, with per-structure sums over contiguous blocks.  Values are in mm
 (Dice and correlations dimensionless).  Gradients are exact except at the
 measure-zero kinks of norms and nearest-neighbour ties, where a fixed
-subgradient is used.
+subgradient is used.  A :class:`LabelledPoints` keeps its last matching
+between calls and re-queries only the rows a triangle-inequality certificate
+does not cover, so the results are those of fresh queries; as it updates
+that state, it must not be shared between threads.
 
 :func:`total_loss` weighs the regularisers by four constants: ``LAMBDA_EDGE``
 (edge-length spread), ``LAMBDA_CURV`` (curvature correlation), ``LAMBDA_TEMP``
@@ -45,6 +48,18 @@ class LabelledPoints:
     over all the points serves every label and no match crosses blocks.  The
     tree is built on first use and kept while its block spacing still
     separates the blocks around the vertices it is given.
+
+    Between calls it keeps each row's nearest neighbour (``vp``, ``pv``), a
+    slack per row and the blocked vertices of the previous call (``last``),
+    and asks the trees only for rows whose neighbour may have changed
+    (Greenspan & Godin 2001).  A slack starts as the second-nearest distance
+    and falls by every later step: a vertex row's by its own step, a point
+    row's by the largest.  By the triangle inequality no other candidate is
+    then nearer than the slack, so a row whose distance to its neighbour plus
+    ``1e-11 * spacing`` is below its slack keeps what a fresh query returns.
+    A tree rebuild or a new vertex count drops the state; a relabelled
+    vertex is a step of a block spacing.  Results are those of fresh
+    queries, bit for bit.  Not to be shared between threads.
     """
 
     def __init__(self, points, labels):
@@ -58,6 +73,7 @@ class LabelledPoints:
         self.counts = np.bincount(labels)
         self.spacing = 0.0
         self.tree = None
+        self.last = None
 
     def match(self, verts, vert_labels):
         """Value and vertex gradient of the matching distance.
@@ -75,21 +91,59 @@ class LabelledPoints:
         if self.spacing < 6.0 * r + 1.0:
             self.spacing = 2.0 ** np.ceil(np.log2(12.0 * r + 2.0))
             self.tree = cKDTree(_blocked(self.points, self.labels, self.spacing))
+            self.last = None
         blocked = _blocked(verts, vert_labels, self.spacing)
-        idx_vp = self.tree.query(blocked)[1]
-        idx_pv = cKDTree(blocked).query(self.tree.data)[1]
-        # row norms by einsum: about 3x faster than np.linalg.norm
-        diff_vp = verts - self.points[idx_vp]
-        d_vp = np.sqrt(np.einsum("ij,ij->i", diff_vp, diff_vp))
-        diff_pv = verts[idx_pv] - self.points
-        d_pv = np.sqrt(np.einsum("ij,ij->i", diff_pv, diff_pv))
+        points = self.tree.data  # the blocked points
+        margin = 1e-11 * self.spacing
+        last, self.last = self.last, None  # a call that raises keeps no state
+        if last is None or len(last) != len(verts):
+            self.vp, self.vp_slack = _nearest(self.tree, blocked, margin)
+            self.pv, self.pv_slack = _nearest(cKDTree(blocked), points, margin)
+        else:
+            step = _lengths(blocked - last)
+            self.vp_slack -= step
+            self.pv_slack -= step.max()
+            stale = _uncertified(blocked - points[self.vp], self.vp_slack, margin)
+            if len(stale):
+                self.vp[stale], self.vp_slack[stale] = _nearest(self.tree, blocked[stale], margin)
+            stale = _uncertified(blocked[self.pv] - points, self.pv_slack, margin)
+            if len(stale):
+                tree = cKDTree(blocked)  # only when some point row needs it
+                self.pv[stale], self.pv_slack[stale] = _nearest(tree, points[stale], margin)
+        self.last = blocked
+        diff_vp = verts - self.points[self.vp]
+        d_vp = _lengths(diff_vp)
+        diff_pv = verts[self.pv] - self.points
+        d_pv = _lengths(diff_pv)
         # each distance counts 1 / (size of its label on its side)
         n_v = np.bincount(vert_labels)[vert_labels]
         n_p = self.counts[self.labels]
         value = float(d_vp @ (1.0 / n_v) + d_pv @ (1.0 / n_p))
         grad = _safe_unit(diff_vp, d_vp * n_v)
-        grad += _scatter_rows(idx_pv, [_safe_unit(diff_pv, d_pv * n_p)], len(verts))
+        grad += _scatter_rows(self.pv, [_safe_unit(diff_pv, d_pv * n_p)], len(verts))
         return value, grad
+
+
+def _lengths(diff):
+    """Row norms, by einsum: about 3x faster than np.linalg.norm."""
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _nearest(tree, queries, margin):
+    """Each query's nearest neighbour (int32) as a one-nearest query returns
+    it, and its second-nearest distance.  At a tie a two-nearest query may
+    order the neighbours otherwise, so rows tied within ``margin`` ask again."""
+    dist, idx = tree.query(queries, k=2)
+    near = idx[:, 0].astype(np.int32)
+    tied = np.flatnonzero(dist[:, 1] <= dist[:, 0] + margin)
+    if len(tied):
+        near[tied] = tree.query(queries[tied])[1]
+    return near, dist[:, 1].copy()  # not a view holding the first column
+
+
+def _uncertified(diff, slack, margin):
+    """Rows whose kept neighbour, ``diff`` away, the slack does not certify."""
+    return np.flatnonzero(~(_lengths(diff) + margin < slack))
 
 
 class TargetClouds:
@@ -190,7 +244,7 @@ def edge_loss(x, topology):
     for t in range(T):
         np.take(x[t], vi, axis=0, out=diff)
         diff -= np.take(x[t], vj, axis=0)
-        lengths = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        lengths = _lengths(diff)
         dev = lengths - np.repeat(np.add.reduceat(lengths, starts) / n, n)
         std = np.sqrt(np.add.reduceat(dev * dev, starts) / n)
         total += std.sum()
@@ -276,7 +330,7 @@ def temporal_loss(x, topology):
     total = 0.0
     for t in range(T - 1):
         diff = x[t + 1] - x[t]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dist = _lengths(diff)
         total += float((dist / n).sum())
         unit = _safe_unit(diff, dist * n)
         grad[t + 1] += unit

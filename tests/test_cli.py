@@ -330,6 +330,21 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_ssm_failed_load_leaves_no_out(self, synth_dir, model_dir, tmp_path, capsys):
+        template = tmp_path / "template"
+        template.mkdir()  # no manifest.json
+        rc = main(
+            [
+                "ssm", "encode", "--template", str(template),
+                "--model", str(model_dir / "model.hssm"),
+                "--meshes", str(synth_dir / "subject_000" / "meshes"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_corr_attribute_rows_must_match_subjects(
         self, synth_dir, model_dir, tmp_path, capsys
     ):

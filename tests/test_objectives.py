@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.spatial import distance_matrix
+from scipy.spatial import cKDTree, distance_matrix
 from scipy.spatial.transform import Rotation
 
 from cardioshape import objectives, synth
@@ -13,6 +13,7 @@ from cardioshape.mesh import (
     MeshSequence,
     TriMesh,
     _laplacian,
+    _scatter_rows,
     accumulated_normals,
     edges_from_faces,
     graph_laplacian,
@@ -176,6 +177,95 @@ class TestLabelledPointsMatch:
             ref_value, ref_grad = match_oracle(moved, vert_labels, points, point_labels)
             assert abs(value - ref_value) < 1e-12 * ref_value
             assert np.abs(grad - ref_grad).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lattice=st.booleans(),
+        moves=st.lists(
+            st.sampled_from(["stay", "small", "jump", "relabel", "resize", "spread"]),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_kept_matching_equals_fresh_queries(self, seed, lattice, moves):
+        # On a lattice every coordinate and step is a multiple of a power of
+        # two, so distances are exact and many tie; some points are repeated.
+        rng = np.random.default_rng(seed)
+
+        def draw(shape, scale):
+            if lattice:
+                return rng.integers(-4, 5, shape) * (scale / 4)
+            return rng.normal(0, scale, shape)
+
+        def labelled(n):
+            return np.concatenate([[0, 1, 2], rng.integers(0, 3, n - 3)])
+
+        points = draw((int(rng.integers(3, 40)), 3), 2.0)
+        points = np.concatenate([points, points[: len(points) // 3]])
+        point_labels = labelled(len(points))
+        verts = draw((int(rng.integers(3, 40)), 3), 2.0)
+        vert_labels = labelled(len(verts))
+        target = LabelledPoints(points, point_labels)
+        for move in ["stay"] + moves:
+            spacing = target.spacing
+            if move == "small":
+                verts = verts + draw(verts.shape, 0.5 if lattice else 0.02)
+            elif move == "jump":
+                verts = verts + draw(verts.shape, 8.0)
+            elif move == "relabel":
+                vert_labels = labelled(len(verts))
+            elif move == "resize":
+                verts = draw((int(rng.integers(3, 40)), 3), 2.0)
+                vert_labels = labelled(len(verts))
+            elif move == "spread":  # beyond the block spacing: a new tree
+                verts = verts + (2.0 * spacing + 64.0)
+            value, grad = target.match(verts, vert_labels)
+            if move == "spread":
+                assert target.spacing > spacing
+            # the stateless reference: fresh one-nearest queries on the same tree
+            blocked = objectives._blocked(verts, vert_labels, target.spacing)
+            idx_vp = target.tree.query(blocked)[1]
+            idx_pv = cKDTree(blocked).query(target.tree.data)[1]
+            diff_vp = verts - points[idx_vp]
+            d_vp = np.sqrt(np.einsum("ij,ij->i", diff_vp, diff_vp))
+            diff_pv = verts[idx_pv] - points
+            d_pv = np.sqrt(np.einsum("ij,ij->i", diff_pv, diff_pv))
+            n_v = np.bincount(vert_labels)[vert_labels]
+            n_p = np.bincount(point_labels)[point_labels]
+            ref_grad = objectives._safe_unit(diff_vp, d_vp * n_v)
+            ref_grad += _scatter_rows(
+                idx_pv, [objectives._safe_unit(diff_pv, d_pv * n_p)], len(verts)
+            )
+            np.testing.assert_array_equal(target.vp, idx_vp)
+            np.testing.assert_array_equal(target.pv, idx_pv)
+            assert value == float(d_vp @ (1.0 / n_v) + d_pv @ (1.0 / n_p))
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_failed_call_keeps_no_state(self, monkeypatch):
+        # the vertex side re-queries at `moved`, then the point side raises;
+        # back near `verts`, a kept slack would certify stale neighbours
+        rng = np.random.default_rng(3)
+        points, verts = rng.normal(0, 2, (60, 3)), rng.normal(0, 2, (50, 3))
+        p_labels, v_labels = np.zeros(60, dtype=int), np.zeros(50, dtype=int)
+        target = LabelledPoints(points, p_labels)
+        target.match(verts, v_labels)
+        nearest = objectives._nearest
+
+        def fail_second(tree, queries, margin):
+            monkeypatch.setattr(objectives, "_nearest", None)
+            return nearest(tree, queries, margin)
+
+        monkeypatch.setattr(objectives, "_nearest", fail_second)
+        with pytest.raises(TypeError):
+            target.match(verts + rng.normal(0, 1.0, verts.shape), v_labels)
+        monkeypatch.setattr(objectives, "_nearest", nearest)
+        back = verts + rng.normal(0, 0.01, verts.shape)
+        target.match(back, v_labels)
+        fresh = LabelledPoints(points, p_labels)
+        fresh.match(back, v_labels)
+        np.testing.assert_array_equal(target.vp, fresh.vp)
+        np.testing.assert_array_equal(target.pv, fresh.pv)
 
     def test_recon_on_structures_present(self, small_pop):
         # targets for two structures: the others' rows get no gradient
