@@ -8,7 +8,6 @@ acceptance`` runs them standalone and writes a report.
 
 import hashlib
 import shutil
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +41,7 @@ from .synth import (
     make_template,
     make_texture,
     plane_section,
+    seeded_rng,
     slice_views,
     synth_population,
     voxelize_sequence,
@@ -61,17 +61,13 @@ def _result(number, name, passed, detail, t0):
     return CriterionResult(number, name, bool(passed), detail, time.time() - t0)
 
 
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
-
-
 # ---------------------------------------------------------------------------
 
 
 def criterion_1_ffd():
     """Identity warp exact, translation < 1e-12, gradients vs FD < 1e-5."""
     t0 = time.time()
-    rng = _rng(101)
+    rng = seeded_rng(101)
     grid = ControlGrid((6, 6, 8), origin=(-50, -50, -60), spacing=(20, 20, 20))
     pts = rng.uniform(-45, 45, (300, 3))
     identity_err = float(np.abs(warp_points(grid, pts) - pts).max())
@@ -140,7 +136,7 @@ def _oracle_symmetric(a, b):
 def criterion_2_loss_oracles():
     """Loss terms equal exhaustive oracles; curvature loss rigid-invariant."""
     t0 = time.time()
-    rng = _rng(202)
+    rng = seeded_rng(202)
     cfg = SynthConfig(scale=0.02, n_frames=3, seed=7)
     pop = synth_population(cfg, 1)
     seq = pop.sequences[0]
@@ -244,7 +240,7 @@ def criterion_3_motion(n_trials=50):
     # the fixed 96 x 96 x 128 mm frame comfortably holds this seeded subject
     geom = VolumeGeometry.default(cfg.voxel_size)
     labels = voxelize_sequence(pop.sequences[0], geom)
-    texture = make_texture(geom.dims, _rng(999))
+    texture = make_texture(geom.dims, seeded_rng(999))
     intens = [
         intensity_volume(labels[t], texture=texture) for t in range(cfg.n_frames)
     ]
@@ -252,7 +248,7 @@ def criterion_3_motion(n_trials=50):
     errors = []
     dice_wins = 0
     for trial in range(n_trials):
-        rng = _rng(300 + trial)
+        rng = seeded_rng(300 + trial)
         views, injected = slice_views(intens, labels, geom, specs, 2.0, rng)
         pre = eval_intersections(views)
         displacements, _ = mc_optimize(views, epochs=200)
@@ -282,7 +278,7 @@ def criterion_4_fit():
     p0 = template.all_vertices()
     lo = p0.min(axis=0) - 10
     hi = p0.max(axis=0) + 10
-    rng = _rng(404)
+    rng = seeded_rng(404)
 
     coarse_true = ControlGrid.for_box(lo, hi, (6, 6, 8))
     coarse_true.displacements = rng.normal(0, 2.0, coarse_true.displacements.shape)
@@ -348,7 +344,7 @@ def criterion_4_fit():
 def criterion_5_ipca():
     """Streaming PCA matches the batch oracle on a rank-10 dataset."""
     t0 = time.time()
-    rng = _rng(505)
+    rng = seeded_rng(505)
     basis = np.linalg.qr(rng.normal(size=(40, 10)))[0]
     scores = rng.normal(size=(500, 10)) * np.linspace(5, 0.5, 10)
     data = scores @ basis.T + rng.normal(size=40)
@@ -424,7 +420,7 @@ def _criterion_7_subject(model, subject_idx):
     """One recovery trial, on its own seed stream."""
     topo = model.topology
     ev = model.explained_variance
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([707, subject_idx])))
+    rng = seeded_rng(np.random.SeedSequence([707, subject_idx]))
     sax = [
         (np.array([0.37, -0.61, z]), np.array([0.0, 0.0, 1.0]))
         for z in np.linspace(-46, 44, 10)
@@ -548,7 +544,7 @@ def criterion_8_phenotypes():
     ef_err = abs(table_ef.LVEF - target_ef)
 
     # rigid invariance of every phenotype
-    rot = np.linalg.qr(_rng(808).normal(size=(3, 3)))[0]
+    rot = np.linalg.qr(seeded_rng(808).normal(size=(3, 3)))[0]
     if np.linalg.det(rot) < 0:
         rot[:, 0] = -rot[:, 0]
     moved = MeshSequence(
@@ -583,7 +579,7 @@ def criterion_8_phenotypes():
 def criterion_9_population():
     """Retrieval, re-identification, Bonferroni null, truncation direction."""
     t0 = time.time()
-    rng = _rng(909)
+    rng = seeded_rng(909)
 
     n = 400
     feats = FeatureMatrix(rng.normal(size=(n, 8)))
@@ -630,12 +626,12 @@ def criterion_9_population():
     )
 
 
-def criterion_10_end_to_end(workdir=None):
+def criterion_10_end_to_end(workdir):
     """Full CLI pipeline twice with one seed: artifacts must be byte-identical."""
     t0 = time.time()
     from .cli import main as cli_main  # lazy: cli imports this module for eval
 
-    base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="cardio_e2e_"))
+    base = Path(workdir)
     base.mkdir(parents=True, exist_ok=True)
     digests = []
     for run in ("run_a", "run_b"):
@@ -727,7 +723,8 @@ def criterion_10_end_to_end(workdir=None):
     return _result(10, "end-to-end determinism", passed, detail, t0)
 
 
-def run_all(only=None, workdir=None):
+def run_all(only, workdir):
+    """Results of the criteria in ``only`` (all if empty), criterion 10 under ``workdir``."""
     checks = {
         1: criterion_1_ffd,
         2: criterion_2_loss_oracles,

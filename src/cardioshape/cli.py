@@ -36,6 +36,7 @@ from .synth import (
     default_view_specs,
     intensity_volume,
     make_texture,
+    seeded_rng,
     slice_views,
     synth_population,
     voxelize_sequence,
@@ -75,6 +76,11 @@ def _apply_config(parser, args, argv):
             raise cio.ValidationError(
                 f"config {args.config}: {key!r} is not a flag of {args.command}"
             )
+        if action.nargs == 0 and not isinstance(value, bool):  # a store-true flag
+            raise cio.ValidationError(f"config {args.config}: {key!r} must be true or false")
+        n = action.nargs
+        if isinstance(n, int) and n > 0 and not (isinstance(value, list) and len(value) == n):
+            raise cio.ValidationError(f"config {args.config}: {key!r} must be a list of {n} items")
         if action.type is not None and value is not None:
             try:  # as if typed on the command line, item by item for a list flag
                 if action.nargs:
@@ -88,8 +94,11 @@ def _apply_config(parser, args, argv):
     return parser.parse_args(argv)
 
 
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
+def _out(args):
+    """``--out``, made if missing: asked for once the inputs have loaded."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +114,11 @@ def cmd_synth(args):
         voxel_size=args.voxel_size,
         displacement_sigma=args.sigma,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     pop = synth_population(cfg, args.subjects)
     cio.save_sequence(out / "template", MeshSequence([pop.template]))
     geom = VolumeGeometry.for_population(pop.sequences, cfg.voxel_size)
-    rng = _rng(args.seed + 1)
+    rng = seeded_rng(args.seed + 1)
     texture = make_texture(geom.dims, rng)
     specs = default_view_specs(geom, n_sax=args.sax, pixel_spacing=args.pixel_spacing)
     ground_truth = {"subjects": {}}
@@ -152,8 +160,7 @@ def cmd_synth(args):
 def cmd_mc(args):
     views = cio.load_views(args.views)
     displacements, trace = mc_optimize(views, epochs=args.epochs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     cio.save_json(
         out / "displacements.json",
         {pid: [float(d[0]), float(d[1])] for pid, d in displacements.items()},
@@ -176,13 +183,12 @@ def cmd_fit(args):
         lr=args.lr,
     )
     seq, grids, trace = fit_sequence(template, targets, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     cio.save_sequence(out / "meshes", seq)
     cio.save_grids(out / "grids.bin", [grids["coarse"], grids["mid"]] + grids["fine"])
     cio.save_csv(out / "loss_trace.csv", ["stage", "iteration", "loss"], trace)
     rows = []
-    subject = Path(args.out).name
+    subject = out.name
     for t in range(seq.n_frames):
         for s in STRUCTURES:
             sd = surface_distances(seq.frames[t][s].vertices, targets.points(t, s))
@@ -249,31 +255,28 @@ def cmd_ssm(args):
             cssm.ipca_partial_fit(model, batch)
         if model.n_active == 0:
             raise cio.ValidationError(f"--data {args.data}: no shape variation, so no component")
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        cio.save_model(Path(args.out) / "model.hssm", model, model.topology)
+        cio.save_model(_out(args) / "model.hssm", model, model.topology)
         return 0
 
     model = cio.load_model(args.model, template)
-    out = Path(args.out)  # made only once the inputs have loaded
-    out.mkdir(parents=True, exist_ok=True)
     topology = model.topology
     if args.action == "encode":
         seq = _to_model_space(cio.load_sequence(args.meshes), template)
         w = cssm.encode(model, vectorize(seq))
-        cio.save_features_csv(out / "descriptor.csv", w[None, :])
+        cio.save_features_csv(_out(args) / "descriptor.csv", w[None, :])
         return 0
     if args.action == "decode":
         _, rows = cio.load_features_csv(args.weights)
         if rows.shape[1:] != (model.n_active,):
             raise cio.ValidationError(f"{args.weights}: expected {model.n_active} weights per row")
         seq = devectorize(cssm.decode(model, rows[0]), topology)
-        cio.save_sequence(out / "meshes", seq)
+        cio.save_sequence(_out(args) / "meshes", seq)
         return 0
     if args.action == "fit-contours":
         targets = cio.load_target_clouds(args.contours)
         contours = [dict(frame) for frame in targets.frames]
         w = cssm.fit_to_contours(model, contours)
-        cio.save_features_csv(out / "descriptor.csv", w[None, :])
+        cio.save_features_csv(_out(args) / "descriptor.csv", w[None, :])
         return 0
     if args.action == "complete":
         seq = cio.load_sequence(args.meshes)
@@ -296,11 +299,11 @@ def cmd_ssm(args):
         for t, frame in zip(shown, aligned.frames):
             frames[t] = frame
         full = cssm.complete_sequence(model, MeshSequence(frames), observed)
-        cio.save_sequence(out / "meshes", full)
+        cio.save_sequence(_out(args) / "meshes", full)
         return 0
     if args.action == "modes":
         seq = cssm.sample_mode(model, args.pc, args.sd)
-        cio.save_sequence(out / f"mode_{args.pc}_{args.sd:+g}sd", seq)
+        cio.save_sequence(_out(args) / f"mode_{args.pc}_{args.sd:+g}sd", seq)
         return 0
 
 
@@ -312,9 +315,7 @@ def cmd_pheno(args):
         seq = cio.load_sequence(mesh_dir)
         tables.append(phenotype_table(seq))
         ids.append(d.name)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cio.save_phenotype_csv(out / "phenotypes.csv", tables, ids)
+    cio.save_phenotype_csv(_out(args) / "phenotypes.csv", tables, ids)
     return 0
 
 
@@ -345,9 +346,7 @@ def cmd_corr(args):
         ]
     )
     r, p, significant = vertex_correlation(fields, values[:, int(col)])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cio.save_correlation_csv(out / "correlation.csv", model.topology, r, p, significant)
+    cio.save_correlation_csv(_out(args) / "correlation.csv", model.topology, r, p, significant)
     return 0
 
 
@@ -380,10 +379,8 @@ def cmd_retrieve(args):
     precision = precision_at_k(
         features, groups, args.k, n_queries=args.queries, seed=args.seed
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cio.save_json(
-        out / "retrieval.json",
+        _out(args) / "retrieval.json",
         {"k": args.k, "n_queries": args.queries, "precision_percent": precision},
     )
     return 0
@@ -406,20 +403,15 @@ def cmd_reid(args):
     f1 = _truncated(FeatureMatrix(v1), args.pcs)
     f2 = _truncated(FeatureMatrix(v2), args.pcs)
     recall = recall_at_k(f1, f2, args.k)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cio.save_json(out / "reid.json", {"k": args.k, "recall_percent": recall})
+    cio.save_json(_out(args) / "reid.json", {"k": args.k, "recall_percent": recall})
     return 0
 
 
 def cmd_eval(args):
     from . import acceptance  # lazy: acceptance imports cli, and only eval needs it
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    results = acceptance.run_all(
-        only=args.criteria, workdir=out / "eval_artifacts"
-    )
+    out = _out(args)
+    results = acceptance.run_all(only=args.criteria, workdir=out / "eval_artifacts")
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -439,11 +431,11 @@ def build_parser():
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic population")
     p.add_argument("--subjects", type=int, default=10)
-    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument("--scale", type=float, default=SynthConfig.scale)
     p.add_argument("--frames", type=int, default=20)
-    p.add_argument("--modes", type=int, default=6)
-    p.add_argument("--voxel-size", type=float, default=2.0)
-    p.add_argument("--sigma", type=float, default=2.0)
+    p.add_argument("--modes", type=int, default=SynthConfig.n_modes)
+    p.add_argument("--voxel-size", type=float, default=SynthConfig.voxel_size)
+    p.add_argument("--sigma", type=float, default=SynthConfig.displacement_sigma)
     p.add_argument("--sax", type=int, default=7)
     p.add_argument("--pixel-spacing", type=float, default=2.0)
     p.add_argument("--views", action="store_true")
@@ -461,10 +453,10 @@ def build_parser():
     p.add_argument("--template", type=Path, required=True)
     p.add_argument("--targets", type=Path, required=True)
     p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--dims-coarse", type=int, nargs=3, default=[6, 6, 8])
-    p.add_argument("--dims-mid", type=int, nargs=3, default=[12, 12, 16])
-    p.add_argument("--dims-fine", type=int, nargs=3, default=[24, 24, 32])
+    p.add_argument("--lr", type=float, default=FitConfig.lr)
+    p.add_argument("--dims-coarse", type=int, nargs=3, default=FitConfig.dims_coarse)
+    p.add_argument("--dims-mid", type=int, nargs=3, default=FitConfig.dims_mid)
+    p.add_argument("--dims-fine", type=int, nargs=3, default=FitConfig.dims_fine)
     _add_common(p)
     p.set_defaults(func=cmd_fit)
 

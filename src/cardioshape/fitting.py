@@ -9,7 +9,7 @@ act.  Both stages are one Adam loop over weight operators built once per
 fit.  The output sequence keeps the template connectivity exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -26,7 +26,8 @@ class FitConfig:
     dims_coarse: tuple = (6, 6, 8)
     dims_mid: tuple = (12, 12, 16)
     dims_fine: tuple = (24, 24, 32)
-    iterations: int = 200
+    _: KW_ONLY
+    iterations: int
     lr: float = 0.1
 
     def __post_init__(self):
@@ -87,7 +88,7 @@ def _fit_stage(ops, base, clouds, loss, cfg, what):
     return kept, warp(best), values
 
 
-def fit_sequence(template, targets, cfg=None):
+def fit_sequence(template, targets, cfg):
     """Fit the template to per-frame target clouds.
 
     Both stages run :func:`_fit_stage` on operators of :func:`ffd.weights`,
@@ -99,8 +100,9 @@ def fit_sequence(template, targets, cfg=None):
     ----------
     template : ChamberSet
     targets : TargetClouds
-        Must cover all five structures in every frame.
-    cfg : FitConfig, optional
+        Must cover all five structures in every frame
+        (:func:`objectives.recon_loss` raises otherwise).
+    cfg : FitConfig
 
     Returns
     -------
@@ -112,9 +114,6 @@ def fit_sequence(template, targets, cfg=None):
         to that mesh.
     trace : list of (stage, iteration, loss)
     """
-    cfg = cfg or FitConfig()
-    if set(targets.structures()) != set(STRUCTURES):
-        raise ValueError("targets must cover all five structures")
     n_frames = targets.n_frames
     topology = Topology.from_chamber_set(template, n_frames)
     template_curvatures = {s: mean_curvature(template[s]) for s in STRUCTURES}

@@ -326,11 +326,11 @@ def save_model(path, model, topology):
             fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 
-def load_model(path, template=None):
+def load_model(path, template):
     """Read a ``.hssm`` model.
 
-    Given the template ChamberSet, the model's topology is built from it and
-    the header's frame count, and must match the stored digest.
+    The model's topology is built from the template ChamberSet and the
+    header's frame count, and must match the stored digest.
     """
     with _container(path, "model") as (_, take):
         head = take(_HSSM_HEAD, 1, "model header")
@@ -339,8 +339,8 @@ def load_model(path, template=None):
             raise ValidationError(f"{path}: bad magic {magic!r}, expected 'HSSM'")
         if version != _HSSM_VERSION:
             raise ValidationError(f"{path}: unsupported version {version}")
-        topology = None if template is None else Topology.from_chamber_set(template, t)
-        if topology is not None and topology.digest() != digest:
+        topology = Topology.from_chamber_set(template, t)
+        if topology.digest() != digest:
             raise ValidationError(
                 f"{path}: topology digest mismatch; the model was trained on a "
                 "different template"

@@ -238,9 +238,10 @@ class ChamberSet:
             k += n
         return ChamberSet(out)
 
-    def transformed(self, rotation=None, translation=None):
-        r = np.eye(3) if rotation is None else np.asarray(rotation, dtype=np.float64)
-        t = np.zeros(3) if translation is None else np.asarray(translation, dtype=np.float64)
+    def transformed(self, rotation, translation):
+        """Every vertex ``v`` moved to ``rotation @ v + translation``."""
+        r = np.asarray(rotation, dtype=np.float64)
+        t = np.asarray(translation, dtype=np.float64)
         return self.with_all_vertices(self.all_vertices() @ r.T + t)
 
 

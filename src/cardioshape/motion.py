@@ -32,13 +32,11 @@ class SlicePlane:
     ``origin + x * du * axis_u + y * dv * axis_v``; images are indexed
     ``image[t, y, x]``.  The displacement starts at zero, is in mm and is
     applied continuously: the corrected image samples the stored one at
-    ``(x + dx/du, y + dy/dv)``.
+    ``(x + dx/du, y + dy/dv)``.  ``label`` is an integer image of the same
+    shape, or None.
     """
 
-    def __init__(
-        self, origin, axis_u, axis_v, pixel_spacing, image, label=None,
-        plane_id="plane",
-    ):
+    def __init__(self, origin, axis_u, axis_v, pixel_spacing, image, label, plane_id):
         self.origin = np.asarray(origin, dtype=np.float64)
         self.axis_u = np.asarray(axis_u, dtype=np.float64)
         self.axis_v = np.asarray(axis_v, dtype=np.float64)
@@ -318,7 +316,7 @@ def mc_objective(views):
     return total / views.n_frames, grad / spacing / views.n_frames
 
 
-def mc_optimize(views, lr=None, epochs=1000):
+def mc_optimize(views, epochs, lr=None):
     """Minimise the alignment objective by Levenberg-Marquardt rounds: solve
     ``(H + mu diag H) step = -g`` (:func:`_jacobian`), keep the step only if
     it lowers the objective, and stop once a step moves no plane by

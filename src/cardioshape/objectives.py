@@ -39,6 +39,14 @@ def _blocked(coords, labels, spacing):
     return out
 
 
+def _block_spacing(r):
+    """Power of two at least ``12 r + 2`` for coordinates within ``r`` of a
+    centre: same-block pairs are at most ``2 sqrt(3) r`` apart, pairs from
+    different blocks at least ``spacing - 2 r``, until ``r`` passes
+    ``(spacing - 1) / 6``."""
+    return 2.0 ** np.ceil(np.log2(12.0 * r + 2.0))
+
+
 class LabelledPoints:
     """Points carrying small non-negative int labels, and the matching of
     vertices against them (the symmetric nearest-neighbour distance of Besl
@@ -57,9 +65,10 @@ class LabelledPoints:
     row's by the largest.  By the triangle inequality no other candidate is
     then nearer than the slack, so a row whose distance to its neighbour plus
     ``1e-11 * spacing`` is below its slack keeps what a fresh query returns.
-    A tree rebuild or a new vertex count drops the state; a relabelled
-    vertex is a step of a block spacing.  Results are those of fresh
-    queries, bit for bit.  Not to be shared between threads.
+    A fresh state (first call, tree rebuild, new vertex count) certifies no
+    row, so every call runs the same lines; a relabelled vertex is a step of
+    a block spacing.  Results are those of fresh queries, bit for bit.  Not
+    to be shared between threads.
     """
 
     def __init__(self, points, labels):
@@ -84,32 +93,30 @@ class LabelledPoints:
         coordinates.  Returns ``(value, grad)``, ``grad`` shaped like
         ``verts``.
         """
-        # Every coordinate lies in the cube of half-width r around the
-        # points' centre, where same-block pairs are at most 2 sqrt(3) r
-        # apart and pairs from different blocks at least spacing - 2 r.
+        # every coordinate lies in the cube of half-width r around the points' centre
         r = max(self.radius, float(np.abs(verts - self.center).max()))
         if self.spacing < 6.0 * r + 1.0:
-            self.spacing = 2.0 ** np.ceil(np.log2(12.0 * r + 2.0))
+            self.spacing = _block_spacing(r)
             self.tree = cKDTree(_blocked(self.points, self.labels, self.spacing))
             self.last = None
         blocked = _blocked(verts, vert_labels, self.spacing)
         points = self.tree.data  # the blocked points
         margin = 1e-11 * self.spacing
         last, self.last = self.last, None  # a call that raises keeps no state
-        if last is None or len(last) != len(verts):
-            self.vp, self.vp_slack = _nearest(self.tree, blocked, margin)
-            self.pv, self.pv_slack = _nearest(cKDTree(blocked), points, margin)
-        else:
-            step = _lengths(blocked - last)
-            self.vp_slack -= step
-            self.pv_slack -= step.max()
-            stale = _uncertified(blocked - points[self.vp], self.vp_slack, margin)
-            if len(stale):
-                self.vp[stale], self.vp_slack[stale] = _nearest(self.tree, blocked[stale], margin)
-            stale = _uncertified(blocked[self.pv] - points, self.pv_slack, margin)
-            if len(stale):
-                tree = cKDTree(blocked)  # only when some point row needs it
-                self.pv[stale], self.pv_slack[stale] = _nearest(tree, points[stale], margin)
+        if last is None or len(last) != len(verts):  # a fresh state
+            last = blocked
+            self.vp, self.vp_slack = np.zeros(len(verts), np.int32), np.full(len(verts), -np.inf)
+            self.pv, self.pv_slack = np.zeros(len(points), np.int32), np.full(len(points), -np.inf)
+        step = _lengths(blocked - last)
+        self.vp_slack -= step
+        self.pv_slack -= step.max()
+        stale = _uncertified(blocked - points[self.vp], self.vp_slack, margin)
+        if len(stale):
+            self.vp[stale], self.vp_slack[stale] = _nearest(self.tree, blocked[stale], margin)
+        stale = _uncertified(blocked[self.pv] - points, self.pv_slack, margin)
+        if len(stale):
+            tree = cKDTree(blocked)  # only when some point row needs it
+            self.pv[stale], self.pv_slack[stale] = _nearest(tree, points[stale], margin)
         self.last = blocked
         diff_vp = verts - self.points[self.vp]
         d_vp = _lengths(diff_vp)
@@ -209,25 +216,23 @@ def _safe_unit(diff, dist):
 def recon_loss(x, topology, targets):
     """Symmetric mean nearest-neighbour distance between meshes and targets.
 
-    Per frame and structure both directions are averaged over their own point
-    count, summed over the structures the targets cover, and the frame sum is
-    divided by the frame count.  The vertex gradient collects unit vectors
-    from both directions.
+    The targets must cover every structure.  Per frame and structure both
+    directions are averaged over their own point count, summed over the
+    structures, and the frame sum is divided by the frame count.  The vertex
+    gradient collects unit vectors from both directions.
     """
     T = len(x)
     if targets.n_frames != T:
         raise ValueError(f"targets have {targets.n_frames} frames, coordinates have {T}")
-    wanted = [STRUCTURES.index(s) for s in targets.structures()]
-    rows = np.isin(topology.labels, wanted)
-    if rows.all():
-        rows = slice(None)  # a view, not a masked copy
-    labels = topology.labels[rows]
-    grad = np.zeros_like(x)
+    missing = [s for s in STRUCTURES if s not in targets.structures()]
+    if missing:
+        raise ValueError(f"targets lack {', '.join(missing)}: recon_loss needs all five structures")
+    grad = np.empty_like(x)
     total = 0.0
     for t in range(T):
-        value, g = targets.pooled[t].match(x[t, rows], labels)
+        value, g = targets.pooled[t].match(x[t], topology.labels)
         total += value
-        grad[t, rows] = g / T
+        grad[t] = g / T
     return total / T, grad
 
 
@@ -320,10 +325,9 @@ def curvature_loss(x, topology, template_curvatures):
 
 
 def temporal_loss(x, topology):
-    """Mean vertex displacement between consecutive frames."""
+    """Mean vertex displacement between consecutive frames, summed over
+    structures.  Zero (with zero gradient) for single-frame sequences."""
     T = len(x)
-    if T < 2:
-        raise ValueError("temporal_loss needs at least two frames")
     # each structure's displacements average over its own vertex count
     n = (T - 1) * np.bincount(topology.labels)[topology.labels]
     grad = np.zeros_like(x)
@@ -356,9 +360,9 @@ def cycle_loss(x, topology):
 def total_loss(x, topology, targets, template_curvatures):
     """Recon plus the regularisers weighted by the ``LAMBDA_*`` constants.
 
-    Returns ``(value, grad, terms)`` where ``terms`` maps term name to its
-    unweighted value.  For single-frame sequences the temporal term is
-    skipped and the cycle term is zero.
+    Returns ``(value, grad, terms)`` where ``terms`` maps each term name to
+    its unweighted value.  For single-frame sequences the temporal and cycle
+    terms are zero.
     """
     total, grad = recon_loss(x, topology, targets)
     terms = {"recon": total}
@@ -369,8 +373,6 @@ def total_loss(x, topology, targets, template_curvatures):
         ("cycle", LAMBDA_CYCLE, cycle_loss, ()),
     ]
     for name, weight, fn, args in regularisers:
-        if name == "temp" and len(x) < 2:
-            continue
         value, g = fn(x, topology, *args)
         terms[name] = value
         total += weight * value

@@ -12,7 +12,7 @@ class Adam:
     """Adam (Kingma & Ba 2015) with bias correction.  Only the step size
     ``lr`` is settable; ``BETA1``, ``BETA2`` and ``EPSILON`` are the usual."""
 
-    def __init__(self, lr=0.1):
+    def __init__(self, lr):
         if not (np.isfinite(lr) and lr > 0):
             raise ValueError(f"learning rate lr must be finite and > 0, got {lr}")
         self.lr = lr

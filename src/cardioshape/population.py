@@ -134,7 +134,7 @@ def knn_retrieve(features, query, k):
     return order[:k]
 
 
-def precision_at_k(features, groups, k, n_queries=5000, seed=0):
+def precision_at_k(features, groups, k, n_queries, seed):
     """Mean fraction of the k retrieved subjects sharing the query's group,
     in percent.  Queries are drawn with replacement; the query subject is
     excluded from its own candidates."""

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .mesh import STRUCTURES, devectorize, vectorize
-from .objectives import _blocked
+from .objectives import _block_spacing, _blocked
 
 
 class ShapeModel:
@@ -27,7 +27,7 @@ class ShapeModel:
     rebuild mesh sequences.
     """
 
-    def __init__(self, n_components=128, topology=None):
+    def __init__(self, n_components, topology=None):
         if n_components < 1:
             raise ValueError("n_components must be >= 1")
         self.n_components = int(n_components)
@@ -210,7 +210,7 @@ def _contour_rounds(model, contours, z):
     while True:
         x = decode(model, scale * z).reshape(topology.n_frames, n_verts, 3)
         # blocks far enough apart that no 3 nearest vertices cross them
-        spacing = 6.0 * max(np.abs(x).max(), np.abs(points).max()) + 1.0
+        spacing = _block_spacing(max(np.abs(x).max(), np.abs(points).max()))
         for (t, pts, blocks), end in zip(frames, ends):
             span = slice(end - len(pts), end)
             verts = _blocked(np.concatenate([x[t], x[t]]), vert_blocks, spacing)

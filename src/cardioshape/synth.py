@@ -7,7 +7,7 @@ misalignments.  Everything is deterministic per seed, which makes these
 outputs usable as oracles for the rest of the toolkit.
 """
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -61,13 +61,20 @@ MOTION_AMPLITUDE = 0.16
 MOTION_JITTER = 0.25
 
 
+def seeded_rng(seed):
+    """The toolkit's random generator: Philox, counter-based and so the same
+    stream on every platform, from an int or a ``SeedSequence``."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
 @dataclass
 class SynthConfig:
-    seed: int = 0
+    _: KW_ONLY
+    seed: int
     scale: float = 0.1
     budgets: tuple = None
     n_modes: int = 6
-    n_frames: int = 50
+    n_frames: int
     voxel_size: float = 2.0
     displacement_sigma: float = 2.0
 
@@ -91,7 +98,7 @@ class Population:
     sequences: list
     weights: np.ndarray
     attributes: dict
-    motion_scales: np.ndarray = None
+    motion_scales: np.ndarray
 
 
 _ICO_COUNTS = {12: 0, 42: 1, 162: 2, 642: 3, 2562: 4, 10242: 5}
@@ -137,7 +144,7 @@ def icosphere(subdivisions, structure_id="LV-endo"):
     return TriMesh(np.array(verts), np.array(faces), structure_id)
 
 
-def sphere_mesh(n_vertices, structure_id="LV-endo"):
+def sphere_mesh(n_vertices, structure_id):
     """Closed unit-sphere mesh with exactly ``n_vertices`` vertices.
 
     Uses an icosphere when the count matches a subdivision level, otherwise a
@@ -167,13 +174,12 @@ def sphere_mesh(n_vertices, structure_id="LV-endo"):
     return TriMesh(verts, faces, structure_id)
 
 
-def make_template(cfg=None):
+def make_template(cfg):
     """Build the five-structure template and its per-structure curvatures.
 
     LV-epi is the LV-endo surface inflated along its normals, giving the two
     index-wise vertex correspondence.  Returns ``(ChamberSet, curvatures)``.
     """
-    cfg = cfg or SynthConfig()
     budgets = dict(zip(STRUCTURES, cfg.budgets))
     meshes = {}
     for s in ("LV-endo", "RV", "LA", "RA"):
@@ -222,7 +228,7 @@ def synth_population(cfg, n_subjects):
     """
     if n_subjects < 1:
         raise ValueError("n_subjects must be >= 1")
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = seeded_rng(cfg.seed)
     template, curvatures = make_template(cfg)
     fields = _mode_fields(template, cfg, rng)
     weights = rng.normal(0.0, MODE_AMPLITUDE, size=(n_subjects, cfg.n_modes))
@@ -250,7 +256,7 @@ def synth_population(cfg, n_subjects):
     )
 
 
-def _subject_sequence(template, fields, w, cfg, motion_scale=1.0):
+def _subject_sequence(template, fields, w, cfg, motion_scale):
     shape = template.with_all_vertices(
         template.all_vertices() + np.tensordot(w, fields, axes=1)
     )
@@ -407,18 +413,16 @@ def voxelize_sequence(seq, geometry):
 _LABEL_INTENSITY = np.array([0.0, 1.0, 0.55, 0.85, 0.45, 0.7])
 
 
-def intensity_volume(labels, texture=None):
+def intensity_volume(labels, texture):
     """Smooth synthetic intensity volume: label intensities blurred by a
-    Gaussian of 1.2 voxels.
+    Gaussian of 1.2 voxels, plus ``texture``.
 
-    ``texture`` (same shape) is added after smoothing; a static texture
-    shared by all frames plays the role of surrounding stationary tissue and
-    anchors in-plane alignment away from the moving structures.
+    ``texture`` (same shape, :func:`make_texture`) is added after smoothing;
+    a static texture shared by all frames plays the role of surrounding
+    stationary tissue and anchors in-plane alignment away from the moving
+    structures.
     """
-    base = gaussian_filter(_LABEL_INTENSITY[labels], sigma=1.2)
-    if texture is not None:
-        base = base + texture
-    return base
+    return gaussian_filter(_LABEL_INTENSITY[labels], sigma=1.2) + texture
 
 
 def make_texture(dims, rng):
@@ -453,7 +457,7 @@ class PlaneSpec:
     width: int
 
 
-def default_view_specs(geometry, n_sax=5, pixel_spacing=2.0, size=None):
+def default_view_specs(geometry, n_sax, pixel_spacing, size=None):
     """A short-axis stack plus two long-axis planes cutting the volume.
 
     Plane positions and in-plane axes are deliberately offset from the voxel

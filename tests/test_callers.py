@@ -1,5 +1,6 @@
 """Every public function, class and method of the package has a caller
-outside the tests.
+outside the tests, and every default of the package is both used and
+overridden by such a caller.
 
 A name counts as called when it appears as a word in the code of ``src/``,
 ``demos/`` or ``benchmarks/*.py`` (an identifier, an attribute, or a word of
@@ -8,6 +9,14 @@ definition and outside the definitions of names that are themselves
 uncalled.  ``benchmarks/test_checks.py`` is a test and does not count.  A
 name that collides with another identifier (``copy``, ``centers``) always
 looks called: this is a guard, not a proof.
+
+A default (a defaulted parameter, or a defaulted field of a dataclass) is
+checked against the calls of ``src/``, ``demos/`` and ``benchmarks/*.py``
+that reach its function, method or class by name.  A default that no such
+call omits should be required; one that no such call sets should be a
+constant.  A function passed as a value (``timed(fn, ...)``, a dict of
+checks) and a call with ``*args`` or ``**kwargs`` count as both omitting and
+setting every default they may reach.
 """
 
 import ast
@@ -99,6 +108,190 @@ def uncalled_names():
         uncalled |= found
 
 
+def _is_dataclass(node):
+    return any(
+        (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _signature(fn, method):
+    """(positional parameters, defaulted parameters) of a def; a method's
+    first positional parameter is bound by its call."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    if method and not static:
+        positional = positional[1:]
+    return positional, defaulted
+
+
+def _callables():
+    """{(kind, name): [(label, positional, defaulted)]} for the
+    package: kind "function" or "class", reached by a bare or
+    module-qualified name, or "method", reached through an object.  A class
+    stands for its ``__init__`` or its dataclass fields."""
+    found = defaultdict(list)
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+
+        def visit(body, owner=None):
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    if _is_dataclass(node):
+                        fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
+                        names = [n.target.id for n in fields]
+                        # the fields after a ``_: KW_ONLY`` are keyword-only
+                        kw_only = [getattr(n.annotation, "id", None) for n in fields]
+                        positional = names[: kw_only.index("KW_ONLY")] if "KW_ONLY" in kw_only else names
+                        defaulted = [n.target.id for n in fields if n.value is not None]
+                        found["class", node.name].append((f"{module}.{node.name}", positional, defaulted))
+                    for n in node.body:
+                        if isinstance(n, ast.FunctionDef) and n.name == "__init__":
+                            found["class", node.name].append(
+                                (f"{module}.{node.name}", *_signature(n, True))
+                            )
+                    visit(node.body, node.name)
+                elif isinstance(node, ast.FunctionDef):
+                    if owner is None:
+                        found["function", node.name].append(
+                            (f"{module}.{node.name}", *_signature(node, False))
+                        )
+                    elif node.name != "__init__":
+                        found["method", node.name].append(
+                            (f"{module}.{owner}.{node.name}", *_signature(node, True))
+                        )
+                    visit(node.body)  # nested defs are functions
+
+        visit(ast.parse(path.read_text()).body)
+    return found
+
+
+def package_defaults():
+    """Every default of the package as ``module.owner(name)``."""
+    return sorted(
+        {f"{label}({name})" for entries in _callables().values() for label, _, d in entries for name in d}
+    )
+
+
+def _bindings(tree):
+    """{local name: what it is}: a package module, a package definition (its
+    own name), or something from outside the package (``None``)."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                name = a.asname or a.name.split(".")[0]
+                inside = a.name.startswith("cardioshape.") and a.asname
+                bound[name] = ("module", a.name.split(".")[-1]) if inside else None
+        elif isinstance(node, ast.ImportFrom):
+            inside = node.level > 0 or (node.module or "").split(".")[0] == "cardioshape"
+            for a in node.names:
+                local = a.asname or a.name
+                if not inside:
+                    bound[local] = None
+                elif a.name in modules and (node.module in (None, "cardioshape")):
+                    bound[local] = ("module", a.name)
+                else:
+                    bound[local] = ("def", a.name)
+    return bound
+
+
+def _root(node):
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def default_uses():
+    """{"module.owner(name)": {"omitted", "set"}} over the calls that may
+    reach each default from ``src/``, ``demos/`` and ``benchmarks/*.py``."""
+    callables = _callables()
+    uses = defaultdict(set)
+    paths = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("demos/*.py"))
+    paths += [p for p in sorted(ROOT.glob("benchmarks/*.py")) if p.name != "test_checks.py"]
+
+    def record(entries, call=None):
+        for label, positional, defaulted in entries:
+            for name in defaulted:
+                key = f"{label}({name})"
+                if call is None or any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords
+                ):
+                    uses[key] |= {"omitted", "set"}
+                elif name in {k.arg for k in call.keywords} or (
+                    name in positional and positional.index(name) < len(call.args)
+                ):
+                    uses[key].add("set")
+                else:
+                    uses[key].add("omitted")
+
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        bound = _bindings(tree)
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+        def target(func, owner_class, kinds=("function", "class")):
+            """The entries that a call's ``func``, or a value, may name."""
+            if isinstance(func, ast.Name):
+                if func.id == "cls" and owner_class:
+                    return callables.get(("class", owner_class), [])
+                what = bound.get(func.id, ("def", func.id))
+                name = None if what is None or what[0] != "def" else what[1]
+            elif isinstance(func, ast.Attribute):
+                root = _root(func)
+                if root in bound and bound[root] is None:
+                    return []  # numpy, scipy, the standard library
+                receiver = func.value
+                name = func.attr
+                if not (isinstance(receiver, ast.Name) and bound.get(receiver.id, ("",))[0] == "module"):
+                    kinds = ("method",)
+            else:
+                return []
+            return [e for kind in kinds for e in callables.get((kind, name), [])]
+
+        def walk(node, owner_class=None):
+            for child in ast.iter_child_nodes(node):
+                owner = child.name if isinstance(child, ast.ClassDef) else owner_class
+                if isinstance(child, ast.Call):
+                    record(target(child.func, owner), child)
+                elif isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+                    parent = parents.get(child)
+                    called = isinstance(parent, ast.Call) and parent.func is child
+                    receiver = isinstance(parent, ast.Attribute)
+                    type_check = isinstance(parent, ast.Call) and getattr(parent.func, "id", "") in (
+                        "isinstance", "issubclass"
+                    )
+                    annotation = isinstance(parent, (ast.AnnAssign, ast.arg)) and parent.annotation is child
+                    if not (called or receiver or type_check or annotation):
+                        # a function passed as a value; a class so passed is
+                        # a type to check or wrap, not a call
+                        record(target(child, owner, ("function", "method")))
+                walk(child, owner)
+
+        walk(tree)
+    return uses
+
+
+def unused_defaults():
+    """{"module.owner(name)": reason} for each default that no caller
+    omits, or that no caller sets; owners on ``ALLOWED`` are skipped."""
+    uses = default_uses()
+    out = {}
+    for key in package_defaults():
+        if key.split("(")[0].split(".")[-1] in ALLOWED:
+            continue
+        seen = uses.get(key, set())
+        if "omitted" not in seen:
+            out[key] = "never omitted: make it required"
+        elif "set" not in seen:
+            out[key] = "never set: make it a constant"
+    return out
+
+
 def test_every_public_name_has_a_caller():
     missing = sorted(uncalled_names() - set(ALLOWED))
     assert not missing, f"no caller outside the tests: {', '.join(missing)}"
@@ -107,6 +300,11 @@ def test_every_public_name_has_a_caller():
 def test_allowed_names_exist_and_lack_a_caller():
     # an allowed name that gains a caller, or goes, leaves the list
     assert set(ALLOWED) <= uncalled_names()
+
+
+def test_every_default_is_omitted_and_set_by_a_caller():
+    flagged = unused_defaults()
+    assert not flagged, "\n".join(f"{k}: {v}" for k, v in flagged.items())
 
 
 def test_benchmark_tracer_installs():

@@ -92,7 +92,8 @@ class TestSsmCommands:
         assert np.abs(w).max() < 1e-10
 
     def test_decode_roundtrip(self, synth_dir, model_dir, tmp_path):
-        model = cio.load_model(model_dir / "model.hssm")
+        template = cio.load_chamber_set(synth_dir / "template")
+        model = cio.load_model(model_dir / "model.hssm", template)
         cio.save_features_csv(tmp_path / "w.csv", np.zeros((1, model.n_active)))
         rc = main(
             [
@@ -559,7 +560,8 @@ class TestExitCodes:
         assert "stage 1, iteration 1" in capsys.readouterr().err
 
     def test_decode_weight_count_mismatch_exit_2(self, synth_dir, model_dir, tmp_path, capsys):
-        n_active = cio.load_model(model_dir / "model.hssm").n_active
+        template = cio.load_chamber_set(synth_dir / "template")
+        n_active = cio.load_model(model_dir / "model.hssm", template).n_active
         cio.save_features_csv(tmp_path / "w.csv", np.zeros((1, n_active + 1)))
         rc = main(
             [
@@ -672,4 +674,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"config {tmp_path / 'cfg.json'}: {key!r}" in err and "usage" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_store_true_flag_takes_only_a_boolean(self, tmp_path, capsys):
+        # the string "false" is truthy: taken as is, it would turn --views on
+        (tmp_path / "cfg.json").write_text(json.dumps({"subjects": 1, "frames": 1, "views": "false"}))
+        rc = main(["synth", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config {tmp_path / 'cfg.json'}: 'views' must be true or false" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_fixed_count_flag_takes_only_that_many_items(self, tmp_path, capsys):
+        # taken as is, two dims would fail deep in the fit, naming neither file nor key
+        (tmp_path / "cfg.json").write_text(json.dumps({"dims-coarse": [6, 6]}))
+        rc = main(
+            [
+                "fit", "--template", str(tmp_path / "template"), "--targets",
+                str(tmp_path / "targets.bin"), "--config", str(tmp_path / "cfg.json"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config {tmp_path / 'cfg.json'}: 'dims-coarse' must be a list of 3 items" in err
         assert not (tmp_path / "out").exists()

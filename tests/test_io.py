@@ -9,7 +9,7 @@ import pytest
 from cardioshape import io as cio
 from cardioshape import synth
 from cardioshape.cli import main
-from cardioshape.mesh import STRUCTURES, Topology, TriMesh, vectorize
+from cardioshape.mesh import STRUCTURES, ChamberSet, Topology, TriMesh, vectorize
 from cardioshape.objectives import TargetClouds
 from cardioshape.ffd import ControlGrid
 from cardioshape.motion import SlicePlane, ViewSet
@@ -137,7 +137,7 @@ class TestViewsFile:
     def test_roundtrip(self, population, tmp_path):
         geometry = synth.VolumeGeometry.default(2.0)
         labels = synth.voxelize_sequence(population.sequences[0], geometry)
-        intensity = [synth.intensity_volume(l) for l in labels]
+        intensity = [synth.intensity_volume(l, texture=0.0) for l in labels]
         specs = synth.default_view_specs(geometry, n_sax=3, pixel_spacing=3.0)
         rng = np.random.Generator(np.random.Philox(4))
         views, _ = synth.slice_views(intensity, labels, geometry, specs, 1.0, rng)
@@ -203,7 +203,7 @@ class TestModelFile:
         model = ShapeModel(n_components=3, topology=topology)
         ipca_partial_fit(model, vectors[: len(vectors) // 2])
         cio.save_model(tmp_path / "m.hssm", model, topology)
-        back = cio.load_model(tmp_path / "m.hssm")
+        back = cio.load_model(tmp_path / "m.hssm", population.sequences[0].frames[0])
         for m in (model, back):
             ipca_partial_fit(m, vectors[len(vectors) // 2 :])
         assert np.array_equal(back.mean, model.mean)
@@ -220,7 +220,7 @@ class TestModelFile:
         raw[:4] = b"XXXX"
         (tmp_path / "bad.hssm").write_bytes(bytes(raw))
         with pytest.raises(cio.ValidationError, match="magic"):
-            cio.load_model(tmp_path / "bad.hssm")
+            cio.load_model(tmp_path / "bad.hssm", population.sequences[0].frames[0])
 
     def test_digest_mismatch_rejected(self, population, small_template, tmp_path):
         vectors = np.stack([vectorize(s) for s in population.sequences])
@@ -243,16 +243,15 @@ class TestModelFile:
         raw = (tmp_path / "m.hssm").read_bytes()
         (tmp_path / "cut.hssm").write_bytes(raw[:-8])
         with pytest.raises(cio.ValidationError, match="payload"):
-            cio.load_model(tmp_path / "cut.hssm")
+            cio.load_model(tmp_path / "cut.hssm", population.sequences[0].frames[0])
         (tmp_path / "short.hssm").write_bytes(raw[:20])
         with pytest.raises(cio.ValidationError, match="too short"):
-            cio.load_model(tmp_path / "short.hssm")
+            cio.load_model(tmp_path / "short.hssm", population.sequences[0].frames[0])
 
     def test_load_peaks_near_file_size(self, tmp_path):
         # 10 components over 8,335 vertices x 10 frames: a 20 MB file
-        topology = Topology(
-            {s: 1667 for s in STRUCTURES}, {s: np.zeros((1, 3), int) for s in STRUCTURES}, 10
-        )
+        template = ChamberSet({s: synth.sphere_mesh(1667, s) for s in STRUCTURES})
+        topology = Topology.from_chamber_set(template, 10)
         rng = np.random.default_rng(0)
         model = ShapeModel(n_components=10, topology=topology)
         model.mean = rng.normal(size=topology.vector_length)
@@ -265,7 +264,7 @@ class TestModelFile:
         assert size >= 20e6
         tracemalloc.start()
         try:
-            back = cio.load_model(path)
+            back = cio.load_model(path, template)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,6 +325,12 @@ def _tiny_model(population):
     return model, topology
 
 
+def _load_tiny_model(path):
+    # the template of the population fixture: make_template depends on the scale alone
+    cfg = synth.SynthConfig(scale=0.02, n_frames=3, seed=9)
+    return cio.load_model(path, synth.make_template(cfg)[0])
+
+
 def _tiny_grids():
     rng = np.random.default_rng(6)
     displacements = rng.normal(size=(4, 4, 5, 3))
@@ -362,7 +367,7 @@ CONTAINERS = {
     ),
     "model": (
         lambda path, pop: cio.save_model(path, *_tiny_model(pop)),
-        cio.load_model,
+        _load_tiny_model,
         lambda raw: raw[:40],
     ),
     "grids": (

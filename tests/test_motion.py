@@ -476,10 +476,11 @@ class TestOptimize:
     def test_defaults(self):
         import inspect
 
-        # lr is accepted and ignored; epochs caps the Gauss-Newton rounds
+        # lr is accepted and ignored; epochs, the cap on the Gauss-Newton
+        # rounds, has no default: every caller gives its own
         sig = inspect.signature(mc_optimize)
         assert sig.parameters["lr"].default is None
-        assert sig.parameters["epochs"].default == 1000
+        assert sig.parameters["epochs"].default is inspect.Parameter.empty
 
     def test_envelope_monotone_and_recovery(self, synthetic_views):
         intensity, labels, geom, specs = synthetic_views
@@ -509,7 +510,7 @@ class TestOptimize:
         views, _ = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
         views.sax[0].image[0, 0, 0] = np.inf  # written after the constructor's check
         with pytest.raises(RuntimeError, match="non-finite loss in motion correction"):
-            mc_optimize(views)
+            mc_optimize(views, epochs=1000)
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -521,7 +522,7 @@ class TestOptimize:
             views, _ = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
             if swap:
                 views = ViewSet(views.sax, views.la_4ch, views.la_2ch)
-            results.append(mc_optimize(views)[0])
+            results.append(mc_optimize(views, epochs=1000)[0])
         for pid, d in results[0].items():
             assert np.abs(results[1][pid] - d).max() < 1e-9
 
@@ -640,7 +641,7 @@ class TestViewSetValidation:
         views = ViewSet(sax, la1, la2)
         with pytest.warns(UserWarning, match="empty intersection"):
             with pytest.raises(ValueError, match="no two planes"):
-                mc_optimize(views)
+                mc_optimize(views, epochs=1000)
 
     def test_nonunit_axis_rejected(self):
         with pytest.raises(ValueError, match="unit"):

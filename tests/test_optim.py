@@ -29,13 +29,13 @@ def test_first_step_magnitude_is_lr():
 
 
 def test_nan_gradient_rejected():
-    adam = Adam()
+    adam = Adam(lr=0.1)
     with pytest.raises(ValueError, match="non-finite"):
         adam.step(np.zeros(2), np.array([np.nan, 0.0]))
 
 
 def test_shape_mismatch_rejected():
-    adam = Adam()
+    adam = Adam(lr=0.1)
     with pytest.raises(ValueError, match="same shape"):
         adam.step(np.zeros(2), np.zeros(3))
 

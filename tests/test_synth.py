@@ -18,12 +18,12 @@ class TestSphereMeshes:
 
     def test_fibonacci_exact_count_closed(self):
         for n in (100, 431, 614):
-            mesh = synth.sphere_mesh(n)
+            mesh = synth.sphere_mesh(n, "LV-endo")
             assert mesh.n_vertices == n
             assert mesh.is_closed()
 
     def test_fibonacci_outward_orientation(self):
-        mesh = synth.sphere_mesh(200)
+        mesh = synth.sphere_mesh(200, "LV-endo")
         from cardioshape.mesh import vertex_normals
 
         normals = vertex_normals(mesh)
@@ -32,7 +32,7 @@ class TestSphereMeshes:
 
 class TestMakeTemplate:
     def test_default_small_scale_budget(self):
-        cfg = synth.SynthConfig()
+        cfg = synth.SynthConfig(seed=0, n_frames=50)
         template, _ = synth.make_template(cfg)
         assert template.total_vertices == 2703
 
@@ -41,7 +41,7 @@ class TestMakeTemplate:
         assert synth.FULL_SCALE_BUDGETS == (6141, 6141, 5696, 4305, 4751)
 
     def test_endo_epi_correspondence(self):
-        cfg = synth.SynthConfig(scale=0.05)
+        cfg = synth.SynthConfig(scale=0.05, seed=0, n_frames=50)
         template, _ = synth.make_template(cfg)
         assert template["LV-endo"].n_vertices == template["LV-epi"].n_vertices
         assert np.array_equal(template["LV-endo"].faces, template["LV-epi"].faces)
@@ -51,13 +51,13 @@ class TestMakeTemplate:
         assert abs(gaps.mean() - 8.0) < 0.5
 
     def test_all_structures_closed(self):
-        cfg = synth.SynthConfig(scale=0.04)
+        cfg = synth.SynthConfig(scale=0.04, seed=0, n_frames=50)
         template, _ = synth.make_template(cfg)
         for s in STRUCTURES:
             assert template[s].is_closed()
 
     def test_curvatures_returned(self):
-        cfg = synth.SynthConfig(scale=0.03)
+        cfg = synth.SynthConfig(scale=0.03, seed=0, n_frames=50)
         template, curv = synth.make_template(cfg)
         for s in STRUCTURES:
             assert curv[s].shape == (template[s].n_vertices,)
@@ -103,7 +103,7 @@ class TestVoxelize:
     def test_sphere_volume_fraction(self):
         from cardioshape.mesh import ChamberSet, TriMesh
 
-        cfg = synth.SynthConfig(scale=0.03)
+        cfg = synth.SynthConfig(scale=0.03, seed=0, n_frames=50)
         template, _ = synth.make_template(cfg)
         sphere = synth.icosphere(3)
         meshes = dict(template.meshes)
@@ -217,7 +217,7 @@ class TestSliceViews:
         assert all(np.abs(v).max() == 0.0 for v in injected.values())
 
     def test_default_sigma_is_two(self):
-        assert synth.SynthConfig().displacement_sigma == 2.0
+        assert synth.SynthConfig(seed=0, n_frames=50).displacement_sigma == 2.0
 
     def test_injected_statistics(self, volume_setup):
         intensity, labels, geometry, specs = volume_setup
