@@ -2,8 +2,8 @@
 
 Each check builds its own seeded synthetic data, verifies the stated
 tolerances against independent oracles, and reports pass/fail with details.
-``tests/test_acceptance.py`` asserts these; the CLI ``eval --suite
-acceptance`` runs them standalone and writes a report.
+``tests/test_acceptance.py`` asserts these; the CLI ``eval`` runs them
+standalone and writes a report.
 """
 
 import hashlib

@@ -1,11 +1,13 @@
 """Command-line front end tying the pipeline stages together.
 
-Every subcommand accepts --seed, --config <json file> and --out <dir>.
-A config file is a JSON object whose keys name the subcommand's flags; its
-values replace the flags' defaults, so a flag given on the command line
-wins.  A key that names no flag of the subcommand is rejected.  Exit codes:
-0 success, 2 validation error (bad flags or bad input files), 1 runtime
-failure.
+Each subcommand, and each action of ``ssm`` (``ssm train``, ``ssm encode``,
+...), takes only the flags it reads, plus --seed, --config <json file> and
+--out <dir>.  A config file is a JSON object whose keys name the
+subcommand's flags; its values replace the flags' defaults, so a flag given
+on the command line wins, and a required flag comes only from the command
+line.  A key that names no flag of the subcommand, and a null for a flag
+whose default is not None, are rejected.  Exit codes: 0 success, 2
+validation error (bad flags or bad input files), 1 runtime failure.
 """
 
 import argparse
@@ -74,8 +76,10 @@ def _apply_config(parser, args, argv):
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise cio.ValidationError(
-                f"config {args.config}: {key!r} is not a flag of {args.command}"
+                f"config {args.config}: {key!r} is not a flag of {args._subparser.prog}"
             )
+        if value is None and action.default is not None:
+            raise cio.ValidationError(f"config {args.config}: {key!r} cannot be null")
         if action.nargs == 0 and not isinstance(value, bool):  # a store-true flag
             raise cio.ValidationError(f"config {args.config}: {key!r} must be true or false")
         n = action.nargs
@@ -219,109 +223,105 @@ def _to_model_space(seq, template):
     return MeshSequence([rigid_align(frame, template)[2] for frame in seq.frames])
 
 
-# The files each ssm action reads, besides --template.
-_SSM_FLAGS = {
-    "train": ("data",),
-    "encode": ("model", "meshes"),
-    "decode": ("model", "weights"),
-    "fit-contours": ("model", "contours"),
-    "complete": ("model", "meshes"),
-    "modes": ("model",),
-}
-
-
-def cmd_ssm(args):
-    missing = [f"--{f}" for f in _SSM_FLAGS[args.action] if getattr(args, f) is None]
-    if missing:
-        raise cio.ValidationError(f"ssm {args.action} needs {' and '.join(missing)}")
+def _model(args):
+    """``--template``, then the shape model ``--model`` made on it."""
     template = cio.load_chamber_set(args.template)
-    if args.action == "train":
-        if args.batch_size < 1:
-            raise cio.ValidationError("--batch-size must be >= 1")
-        # Streamed: only one --batch-size group of subjects is held at a time.
-        dirs = _subject_dirs(args.data)
-        model = None
-        for start in range(0, len(dirs), args.batch_size):
-            batch = np.stack(
-                [
-                    vectorize(_to_model_space(cio.load_sequence(d / "meshes"), template))
-                    for d in dirs[start : start + args.batch_size]
-                ]
-            )
-            if model is None:
-                n_frames = batch.shape[1] // (3 * template.total_vertices)
-                topology = Topology.from_chamber_set(template, n_frames)
-                model = cssm.ShapeModel(n_components=args.components, topology=topology)
-            cssm.ipca_partial_fit(model, batch)
-        if model.n_active == 0:
-            raise cio.ValidationError(f"--data {args.data}: no shape variation, so no component")
-        cio.save_model(_out(args) / "model.hssm", model, model.topology)
-        return 0
+    return template, cio.load_model(args.model, template)
 
-    model = cio.load_model(args.model, template)
-    topology = model.topology
-    if args.action == "encode":
-        seq = _to_model_space(cio.load_sequence(args.meshes), template)
-        w = cssm.encode(model, vectorize(seq))
-        cio.save_features_csv(_out(args) / "descriptor.csv", w[None, :])
-        return 0
-    if args.action == "decode":
-        _, rows = cio.load_features_csv(args.weights)
-        if rows.shape[1:] != (model.n_active,):
-            raise cio.ValidationError(f"{args.weights}: expected {model.n_active} weights per row")
-        seq = devectorize(cssm.decode(model, rows[0]), topology)
-        cio.save_sequence(_out(args) / "meshes", seq)
-        return 0
-    if args.action == "fit-contours":
-        targets = cio.load_target_clouds(args.contours)
-        contours = [dict(frame) for frame in targets.frames]
-        w = cssm.fit_to_contours(model, contours)
-        cio.save_features_csv(_out(args) / "descriptor.csv", w[None, :])
-        return 0
-    if args.action == "complete":
-        seq = cio.load_sequence(args.meshes)
-        if seq.n_frames != topology.n_frames:
-            raise cio.ValidationError(
-                f"{args.meshes}: {seq.n_frames} frames, the model has {topology.n_frames}"
-            )
-        n = topology.n_frames
-        indices = args.observed.split(",")
-        if not all(t.strip().isdecimal() and int(t) < n for t in indices):
-            raise cio.ValidationError(
-                f"--observed {args.observed!r}: frames must lie in 0..{n - 1}"
-            )
-        observed = np.zeros(n, dtype=bool)
-        observed[[int(t) for t in indices]] = True
-        # Unobserved frames may be placeholders, so only observed ones are aligned.
-        shown = np.flatnonzero(observed)
-        aligned = _to_model_space(MeshSequence([seq[t] for t in shown]), template)
-        frames = list(seq.frames)
-        for t, frame in zip(shown, aligned.frames):
-            frames[t] = frame
-        full = cssm.complete_sequence(model, MeshSequence(frames), observed)
-        cio.save_sequence(_out(args) / "meshes", full)
-        return 0
-    if args.action == "modes":
-        seq = cssm.sample_mode(model, args.pc, args.sd)
-        cio.save_sequence(_out(args) / f"mode_{args.pc}_{args.sd:+g}sd", seq)
-        return 0
+
+def cmd_ssm_train(args):
+    template = cio.load_chamber_set(args.template)
+    if args.batch_size < 1:
+        raise cio.ValidationError("--batch-size must be >= 1")
+    # Streamed: only one --batch-size group of subjects is held at a time.
+    dirs = _subject_dirs(args.data)
+    model = None
+    for start in range(0, len(dirs), args.batch_size):
+        batch = np.stack(
+            [
+                vectorize(_to_model_space(cio.load_sequence(d / "meshes"), template))
+                for d in dirs[start : start + args.batch_size]
+            ]
+        )
+        if model is None:
+            n_frames = batch.shape[1] // (3 * template.total_vertices)
+            topology = Topology.from_chamber_set(template, n_frames)
+            model = cssm.ShapeModel(n_components=args.components, topology=topology)
+        cssm.ipca_partial_fit(model, batch)
+    if model.n_active == 0:
+        raise cio.ValidationError(f"--data {args.data}: no shape variation, so no component")
+    cio.save_model(_out(args) / "model.hssm", model, model.topology)
+    return 0
+
+
+def cmd_ssm_encode(args):
+    template, model = _model(args)
+    seq = _to_model_space(cio.load_sequence(args.meshes), template)
+    w = cssm.encode(model, vectorize(seq))
+    cio.save_features_csv(_out(args) / "descriptor.csv", w[None, :])
+    return 0
+
+
+def cmd_ssm_decode(args):
+    _, model = _model(args)
+    _, rows = cio.load_features_csv(args.weights)
+    if rows.shape[1:] != (model.n_active,):
+        raise cio.ValidationError(f"{args.weights}: expected {model.n_active} weights per row")
+    seq = devectorize(cssm.decode(model, rows[0]), model.topology)
+    cio.save_sequence(_out(args) / "meshes", seq)
+    return 0
+
+
+def cmd_ssm_fit_contours(args):
+    _, model = _model(args)
+    targets = cio.load_target_clouds(args.contours)
+    contours = [dict(frame) for frame in targets.frames]
+    w = cssm.fit_to_contours(model, contours)
+    cio.save_features_csv(_out(args) / "descriptor.csv", w[None, :])
+    return 0
+
+
+def cmd_ssm_complete(args):
+    template, model = _model(args)
+    seq = cio.load_sequence(args.meshes)
+    n = model.topology.n_frames
+    if seq.n_frames != n:
+        raise cio.ValidationError(f"{args.meshes}: {seq.n_frames} frames, the model has {n}")
+    indices = args.observed.split(",")
+    if not all(t.strip().isdecimal() and int(t) < n for t in indices):
+        raise cio.ValidationError(f"--observed {args.observed!r}: frames must lie in 0..{n - 1}")
+    observed = np.zeros(n, dtype=bool)
+    observed[[int(t) for t in indices]] = True
+    # Unobserved frames may be placeholders, so only observed ones are aligned.
+    shown = np.flatnonzero(observed)
+    aligned = _to_model_space(MeshSequence([seq[t] for t in shown]), template)
+    frames = list(seq.frames)
+    for t, frame in zip(shown, aligned.frames):
+        frames[t] = frame
+    full = cssm.complete_sequence(model, MeshSequence(frames), observed)
+    cio.save_sequence(_out(args) / "meshes", full)
+    return 0
+
+
+def cmd_ssm_modes(args):
+    _, model = _model(args)
+    seq = cssm.sample_mode(model, args.pc, args.sd)
+    cio.save_sequence(_out(args) / f"mode_{args.pc}_{args.sd:+g}sd", seq)
+    return 0
 
 
 def cmd_pheno(args):
     tables = []
     ids = []
     for d in _subject_dirs(args.data):
-        mesh_dir = d / "meshes" if (d / "meshes").exists() else d
-        seq = cio.load_sequence(mesh_dir)
-        tables.append(phenotype_table(seq))
+        tables.append(phenotype_table(cio.load_sequence(d / "meshes")))
         ids.append(d.name)
     cio.save_phenotype_csv(_out(args) / "phenotypes.csv", tables, ids)
     return 0
 
 
 def cmd_corr(args):
-    template = cio.load_chamber_set(args.template)
-    model = cio.load_model(args.model, template)
+    template, model = _model(args)
     subject_dirs = _subject_dirs(args.data)
     _, values = cio.load_features_csv(args.attributes)
     if len(values) != len(subject_dirs):
@@ -461,25 +461,29 @@ def build_parser():
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("ssm", help="shape-model operations")
-    p.add_argument("action", choices=[
-        "train", "encode", "decode", "fit-contours", "complete", "modes"
-    ])
-    p.add_argument("--data", type=Path)
-    p.add_argument("--template", type=Path, required=True)
-    p.add_argument("--model", type=Path)
-    p.add_argument("--meshes", type=Path)
-    p.add_argument("--weights", type=Path)
-    p.add_argument(
-        "--contours", type=Path,
-        help="fit-contours: target-clouds file of model-space (template-aligned) points, used as given",
-    )
-    p.add_argument("--observed", type=str, default="0")
-    p.add_argument("--components", type=int, default=128)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--pc", type=int, default=0)
-    p.add_argument("--sd", type=float, default=2.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_ssm)
+    actions = p.add_subparsers(dest="action", required=True)
+
+    def action(name, func, what, *files):
+        """An ssm action taking --template and ``files``, each a required path."""
+        a = actions.add_parser(name, help=what)
+        for flag in ("template",) + files:
+            a.add_argument(f"--{flag}", type=Path, required=True)
+        _add_common(a)
+        a.set_defaults(func=func)
+        return a
+
+    a = action("train", cmd_ssm_train, "train a shape model on subject_*/meshes", "data")
+    a.add_argument("--components", type=int, default=128)
+    a.add_argument("--batch-size", type=int, default=128)
+    action("encode", cmd_ssm_encode, "descriptor of a mesh sequence", "model", "meshes")
+    action("decode", cmd_ssm_decode, "mesh sequence of a descriptor", "model", "weights")
+    action("fit-contours", cmd_ssm_fit_contours,
+           "descriptor of model-space (template-aligned) contours", "model", "contours")
+    a = action("complete", cmd_ssm_complete, "fill in unobserved frames", "model", "meshes")
+    a.add_argument("--observed", type=str, default="0")
+    a = action("modes", cmd_ssm_modes, "mean plus --sd standard deviations of mode --pc", "model")
+    a.add_argument("--pc", type=int, default=0)
+    a.add_argument("--sd", type=float, default=2.0)
 
     p = sub.add_parser("pheno", help="phenotype table for fitted sequences")
     p.add_argument("--data", type=Path, required=True)
@@ -512,8 +516,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_reid)
 
-    p = sub.add_parser("eval", help="run verification suites")
-    p.add_argument("--suite", choices=("acceptance",), default="acceptance")
+    p = sub.add_parser("eval", help="run the acceptance checks")
     p.add_argument("--criteria", type=int, nargs="*", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
@@ -527,10 +530,7 @@ def main(argv=None):
     try:
         args = _apply_config(parser, args, argv)
         return args.func(args)
-    except cio.ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (cio.ValidationError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -12,8 +12,13 @@ import numpy as np
 
 MYOCARDIAL_DENSITY_G_PER_ML = 1.05
 
-VENTRICLES = {"LV": "LV-endo", "RV": "RV"}
-ATRIA = {"LA": "LA", "RA": "RA"}
+# (chamber, structure, names of its largest and smallest volume)
+CHAMBERS = (
+    ("LV", "LV-endo", "EDV", "ESV"),
+    ("RV", "RV", "EDV", "ESV"),
+    ("LA", "LA", "MAXV", "MINV"),
+    ("RA", "RA", "MAXV", "MINV"),
+)
 
 
 @dataclass
@@ -87,25 +92,16 @@ def wall_thickness(endo, epi):
 
 def phenotype_table(seq):
     """All scalar phenotypes of one subject's sequence."""
-    curves = {s: volume_curve(seq, s) for s in ("LV-endo", "RV", "LA", "RA")}
+    curves = {s: volume_curve(seq, s) for _, s, _, _ in CHAMBERS}
     ed = int(np.argmax(curves["LV-endo"]))
     values = {}
-    for name, structure in VENTRICLES.items():
-        c = curves[structure]
-        edv = float(c.max())
-        esv = float(c.min())
-        sv = edv - esv
-        values[f"{name}EDV"] = edv
-        values[f"{name}ESV"] = esv
-        values[f"{name}SV"] = sv
-        values[f"{name}EF"] = 100.0 * sv / edv
-    for name, structure in ATRIA.items():
+    for name, structure, high, low in CHAMBERS:
         c = curves[structure]
         maxv = float(c.max())
         minv = float(c.min())
         sv = maxv - minv
-        values[f"{name}MAXV"] = maxv
-        values[f"{name}MINV"] = minv
+        values[f"{name}{high}"] = maxv
+        values[f"{name}{low}"] = minv
         values[f"{name}SV"] = sv
         values[f"{name}EF"] = 100.0 * sv / maxv
     ed_frame = seq.frames[ed]

@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 failure report) and asserts the criterion outcome.  The same checks back the
-``cardioshape eval --suite acceptance`` command.
+``cardioshape eval`` command.
 """
 
 import pytest

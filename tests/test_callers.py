@@ -17,8 +17,13 @@ call omits should be required; one that no such call sets should be a
 constant.  A function passed as a value (``timed(fn, ...)``, a dict of
 checks) and a call with ``*args`` or ``**kwargs`` count as both omitting and
 setting every default they may reach.
+
+Every flag that a command (or an ``ssm`` action) of the CLI takes is read by
+it, as ``args.<dest>`` in its function, in ``main`` or in a ``cli`` function
+that either of them passes ``args`` to.
 """
 
+import argparse
 import ast
 import os
 import re
@@ -26,6 +31,8 @@ import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+from cardioshape.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cardioshape"
@@ -35,6 +42,12 @@ ALLOWED = {
     "extract_surface_points": "the voxeliser's oracle in tests/test_synth.py",
     "load_volume": "defines the format that save_volume writes",
     "load_grids": "defines the format that save_grids writes",
+}
+
+# Flags that a command takes without reading them, each for a reason.
+UNREAD_FLAGS = {
+    "seed": "only synth and retrieve read it, but criterion 10 and the cohort_cli "
+    "benchmark workload pass it to every command",
 }
 
 
@@ -305,6 +318,48 @@ def test_allowed_names_exist_and_lack_a_caller():
 def test_every_default_is_omitted_and_set_by_a_caller():
     flagged = unused_defaults()
     assert not flagged, "\n".join(f"{k}: {v}" for k, v in flagged.items())
+
+
+def _commands(parser, words=()):
+    """(words, parser) of every CLI command and ``ssm`` action."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, sub in action.choices.items():
+                yield from _commands(sub, words + (word,))
+    if parser.get_default("func") is not None:
+        yield " ".join(words), parser
+
+
+def _args_reads(names, functions):
+    """The ``args.<name>`` reads of the named ``cli`` functions and of every
+    ``cli`` function they pass ``args`` to, transitively."""
+    reads, todo, seen = set(), list(names), set(names)
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                reads.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in functions.keys() - seen
+                and any(getattr(a, "id", None) == "args" for a in node.args)
+            ):
+                seen.add(node.func.id)
+                todo.append(node.func.id)
+    return reads
+
+
+def test_every_flag_is_read_by_its_command():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    unread = []
+    for command, parser in _commands(build_parser()):
+        reads = _args_reads(["main", parser.get_default("func").__name__], functions)
+        unread += [
+            f"{command} --{a.dest.replace('_', '-')}"
+            for a in parser._actions
+            if a.dest != "help" and a.dest not in reads | UNREAD_FLAGS.keys()
+        ]
+    assert not unread, f"flags no code reads: {', '.join(unread)}"
 
 
 def test_benchmark_tracer_installs():

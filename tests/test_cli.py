@@ -527,19 +527,30 @@ class TestExitCodes:
         self, synth_dir, tmp_path, capsys, action, flags, flag
     ):
         given = [x for f in flags if f != flag for x in (f, str(tmp_path / "absent"))]
-        rc = main(
-            ["ssm", action, "--template", str(synth_dir / "template"), *given,
-             "--out", str(tmp_path / "out")]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"ssm {action} needs {flag}" in err and "TypeError" not in err
-
-    def test_eval_unknown_suite_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--suite", "bogus", "--out", str(tmp_path)])
+            main(
+                ["ssm", action, "--template", str(synth_dir / "template"), *given,
+                 "--out", str(tmp_path / "out")]
+            )
         assert exc.value.code == 2
-        assert "acceptance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"ssm {action}" in err and f"required: {flag}" in err and "TypeError" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ssm", "encode", "--template", "t", "--model", "m", "--meshes", "s", "--components", "4"],
+            ["ssm", "train", "--template", "t", "--data", "d", "--pc", "1"],
+            ["eval", "--suite", "acceptance"],
+        ],
+        ids=["ssm-encode-components", "ssm-train-pc", "eval-suite"],
+    )
+    def test_flag_the_command_does_not_take_exit_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_fit_exit_1(self, synth_dir, tmp_path, monkeypatch, capsys):
         from cardioshape import optim
@@ -665,8 +676,20 @@ class TestExitCodes:
         assert str(tmp_path / "cfg.json") in err and "'bogus-key'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_config_key_of_another_ssm_action_names_the_action(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"components": 4}))
+        rc = main(
+            [
+                "ssm", "encode", "--template", "t", "--model", "m", "--meshes", "s",
+                "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        assert "'components' is not a flag of cardioshape ssm encode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
-        "key, value", [("subjects", "abc"), ("scale", [0.1]), ("subjects", True)]
+        "key, value", [("subjects", "abc"), ("scale", [0.1]), ("subjects", True), ("frames", None)]
     )
     def test_config_value_of_wrong_type_names_file_and_key(self, tmp_path, capsys, key, value):
         (tmp_path / "cfg.json").write_text(json.dumps({"frames": 1, key: value}))
@@ -675,6 +698,18 @@ class TestExitCodes:
         assert rc == 2
         assert f"config {tmp_path / 'cfg.json'}: {key!r}" in err and "usage" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_config_null_stands_for_a_none_default(self, tmp_path):
+        features = str(tmp_path / "f.csv")
+        cio.save_features_csv(features, np.random.default_rng(0).normal(size=(6, 4)))
+        (tmp_path / "cfg.json").write_text(json.dumps({"pcs": None}))
+        rc = main(
+            [
+                "reid", "--features-t1", features, "--features-t2", features, "--k", "1",
+                "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 0
 
     def test_config_store_true_flag_takes_only_a_boolean(self, tmp_path, capsys):
         # the string "false" is truthy: taken as is, it would turn --views on
