@@ -171,6 +171,10 @@ def cmd_mc(args):
     )
     metrics = eval_intersections(views)
     cio.save_json(out / "mc_metrics.json", {k: float(v) for k, v in metrics.items()})
+    # a round is accepted when its value is below every earlier one
+    accepted = trace < np.minimum.accumulate(np.r_[np.inf, trace[:-1]])
+    rows = zip(range(len(trace)), trace, accepted.astype(int))
+    cio.save_csv(out / "mc_trace.csv", ["round", "objective", "accepted"], rows)
     return 0
 
 
@@ -526,7 +530,9 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported with the usage of the command that did not take them
+        args._subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         args = _apply_config(parser, args, argv)
         return args.func(args)

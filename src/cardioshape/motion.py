@@ -7,11 +7,7 @@ term over the short-axis slices.  Each residual is a bilinear sample, so all
 displacements are solved jointly by damped Gauss-Newton on the IRLS normal
 system of the absolute residuals (Lucas-Kanade with an L1 penalty; Baker &
 Matthews 2004): no step size.  In the solve the displacements are one (P, 2)
-array, rows in ``ViewSet.planes()`` order.  A value pass (``_value``) samples
-every intersection line in one ``_bilinear`` gather (``ViewSet.lines``, built
-once per view set) and each whole short-axis slice once; a Jacobian pass
-(``_jacobian``) adds the derivative taps, and the solver runs it only where a
-step was accepted."""
+array, rows in ``ViewSet.planes()`` order; :func:`mc_optimize` runs the rounds."""
 
 import warnings
 from functools import cached_property, partial
@@ -22,7 +18,8 @@ from .objectives import dice, pearson_r
 
 IRLS_FLOOR = 1e-3  # IRLS weight 1 / max(|r|, IRLS_FLOOR)
 MU_START, MU_DOWN, MU_UP = 1e-3, 3.0, 10.0  # Levenberg-Marquardt damping
-STEP_TOL_PX = 1e-4  # a round whose step moves no plane this far ends the solve
+STEP_TOL_PX = 1e-4  # a step that moves no plane this far ends the solve
+REL_TOL = 1e-6  # so does an accepted step that lowers sum |r| by less than this share
 
 
 class SlicePlane:
@@ -319,13 +316,13 @@ def mc_objective(views):
 def mc_optimize(views, epochs, lr=None):
     """Minimise the alignment objective by Levenberg-Marquardt rounds: solve
     ``(H + mu diag H) step = -g`` (:func:`_jacobian`), keep the step only if
-    it lowers the objective, and stop once a step moves no plane by
-    ``STEP_TOL_PX`` or after ``epochs`` rounds.  A trial is scored by its
-    value alone (:func:`_value`, which samples every intersection line in one
-    gather), so g and H are built only at the start and at accepted steps.
-    ``lr`` is ignored; it is kept only for existing callers.  Returns the
-    displacements per plane id (also set on the planes) and the trace: the
-    starting objective, then the value tried in each round."""
+    it lowers the objective, and stop at a kept step that lowers it by less
+    than ``REL_TOL`` of its value (Madsen, Nielsen & Tingleff 2004), at a step
+    that moves no plane by ``STEP_TOL_PX`` or after ``epochs`` rounds.  Trials
+    are scored by their value alone (:func:`_value`), so g and H are built
+    only at the start and at kept steps that go on.  ``lr`` is ignored.
+    Returns the displacements per plane id (also set on the planes) and the
+    trace: the starting objective, then the value tried in each round."""
     planes = views.planes()
     spacing = np.array([p.pixel_spacing for p in planes])
     shift = np.array([p.displacement for p in planes]) / spacing
@@ -344,7 +341,10 @@ def mc_optimize(views, epochs, lr=None):
         trial, residuals = _value(views, shift + step)
         trace.append(trial)
         if trial < value:
+            done = value - trial < REL_TOL * value
             shift, value, mu = shift + step, trial, mu / MU_DOWN
+            if done:
+                break
             grad, normal = _jacobian(views, shift, residuals)
         else:
             mu *= MU_UP

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from cardioshape import io as cio
+from cardioshape import motion
 from cardioshape import ssm as cssm
 from cardioshape.cli import _to_model_space, main
 from cardioshape.mesh import STRUCTURES, MeshSequence, devectorize, vectorize
@@ -202,6 +203,23 @@ class TestPipelineCommands:
         assert rc == 0
         disp = json.loads((tmp_path / "mc" / "displacements.json").read_text())
         assert "la_2ch" in disp and len(disp["la_2ch"]) == 2
+
+    def test_mc_trace_csv(self, synth_dir, tmp_path, monkeypatch):
+        # without the relative stop the solve polishes on, rejecting some steps
+        monkeypatch.setattr(motion, "REL_TOL", 0.0)
+        views = synth_dir / "subject_000" / "views.bin"
+        assert main(["mc", "--views", str(views), "--epochs", "60", "--out", str(tmp_path)]) == 0
+        _, trace = motion.mc_optimize(cio.load_views(views), epochs=60)
+        lines = (tmp_path / "mc_trace.csv").read_text().splitlines()
+        assert lines[0] == "round,objective,accepted"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == len(trace)
+        assert [int(r[0]) for r in rows] == list(range(len(trace)))
+        assert [float(r[1]) for r in rows] == trace.tolist()
+        # accepted: below every earlier value, as the solver keeps a step
+        kept = [i == 0 or v < trace[:i].min() for i, v in enumerate(trace)]
+        assert [r[2] for r in rows] == [str(int(k)) for k in kept]
+        assert 0 < sum(kept) < len(trace)
 
     def test_retrieve_and_reid(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -542,14 +560,19 @@ class TestExitCodes:
             ["ssm", "encode", "--template", "t", "--model", "m", "--meshes", "s", "--components", "4"],
             ["ssm", "train", "--template", "t", "--data", "d", "--pc", "1"],
             ["eval", "--suite", "acceptance"],
+            ["mc", "--views", "v", "--components", "4"],
         ],
-        ids=["ssm-encode-components", "ssm-train-pc", "eval-suite"],
+        ids=["ssm-encode-components", "ssm-train-pc", "eval-suite", "mc-components"],
     )
     def test_flag_the_command_does_not_take_exit_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the usage shown is the command's own, not the root parser's
+        command = " ".join(argv[: 2 if argv[0] == "ssm" else 1])
+        assert err.startswith(f"usage: cardioshape {command} [-h]")
+        assert f"unrecognized arguments: {argv[-2]}" in err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_fit_exit_1(self, synth_dir, tmp_path, monkeypatch, capsys):

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardioshape import synth
+from cardioshape import motion, synth
 from cardioshape.motion import (
     IRLS_FLOOR,
     MU_DOWN,
     MU_START,
     MU_UP,
+    REL_TOL,
     STEP_TOL_PX,
     SlicePlane,
     ViewSet,
@@ -138,7 +139,10 @@ def _ref_optimize(views, epochs):
         trial = _ref_linearise(views, shift + step)
         trace.append(trial[0])
         if trial[0] < value:
+            done = value - trial[0] < REL_TOL * value
             shift, (value, grad, normal), mu = shift + step, trial, mu / MU_DOWN
+            if done:
+                break
         else:
             mu *= MU_UP
     return shift * spacing, np.array(trace) / views.n_frames
@@ -491,6 +495,20 @@ class TestOptimize:
         assert (np.diff(envelope) <= 0).all()
         errs = [np.linalg.norm(displacements[k] + injected[k]) for k in injected]
         assert np.median(errs) < 0.75
+
+    def test_relative_stop_agrees_with_the_step_stop(self, synthetic_views, monkeypatch):
+        # REL_TOL = 0 leaves only the step-size stop and the epoch cap
+        intensity, labels, geom, specs = synthetic_views
+        runs = []
+        for rel_tol in (REL_TOL, 0.0):
+            monkeypatch.setattr(motion, "REL_TOL", rel_tol)
+            rng = np.random.Generator(np.random.Philox(13))
+            views, _ = synth.slice_views(intensity, labels, geom, specs, 2.0, rng)
+            runs.append(mc_optimize(views, epochs=150))
+        (new, new_trace), (old, old_trace) = runs
+        assert len(new_trace) < len(old_trace)
+        assert max(np.linalg.norm(new[k] - old[k]) for k in old) < 0.02
+        assert abs(new_trace.min() - old_trace.min()) < 1e-5 * old_trace.min()
 
     def test_noop_stability(self, synthetic_views):
         # at 1 mm pixels the discretisation bias vanishes and aligned views
