@@ -125,7 +125,8 @@ class LabelledPoints:
         # each distance counts 1 / (size of its label on its side)
         n_v = np.bincount(vert_labels)[vert_labels]
         n_p = self.counts[self.labels]
-        value = float(d_vp @ (1.0 / n_v) + d_pv @ (1.0 / n_p))
+        # einsum, not BLAS: a threaded ddot's sum depends on the thread count
+        value = float(np.einsum("i,i->", d_vp, 1.0 / n_v) + np.einsum("i,i->", d_pv, 1.0 / n_p))
         grad = _safe_unit(diff_vp, d_vp * n_v)
         grad += _scatter_rows(self.pv, [_safe_unit(diff_pv, d_pv * n_p)], len(verts))
         return value, grad

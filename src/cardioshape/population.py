@@ -1,15 +1,18 @@
 """Population analytics over per-subject descriptors and variation fields.
 
 Feature matrices are z-scored per column before any distance computation,
-so mixed-unit features cannot dominate retrieval.  Significance of
-vertex-wise correlations uses the t-transform of Pearson r with Bonferroni
-correction over vertices.
+so mixed-unit features cannot dominate retrieval; queries are ranked in
+blocks under a fixed memory budget, distance ties toward the lower index.
+Significance of vertex-wise correlations uses the t-transform of Pearson r
+with Bonferroni correction over vertices.
 """
 
 import numpy as np
 from scipy.special import stdtr
 
-from .mesh import STRUCTURES, vertex_normals
+from .mesh import STRUCTURES, accumulated_normals
+
+_BLOCK_BYTES = 4 * 2**20  # of one block's (queries, subjects, features) differences
 
 
 class FeatureMatrix:
@@ -39,14 +42,14 @@ class FeatureMatrix:
     def n_subjects(self):
         return self.raw.shape[0]
 
-    def standardize(self, vector):
-        """Standardize a raw feature vector with the stored stats."""
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.raw.shape[1],):
+    def standardize(self, rows):
+        """Standardize raw feature rows, shape (..., F), with the stored stats."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape[-1:] != (self.raw.shape[1],):
             raise ValueError(
-                f"query has {vector.shape} entries, expected ({self.raw.shape[1]},)"
+                f"query has {rows.shape} entries, expected (..., {self.raw.shape[1]})"
             )
-        return (vector[self.kept] - self.mean) / self.sd
+        return (rows[..., self.kept] - self.mean) / self.sd
 
 
 def truncate_descriptor(features, n_pcs):
@@ -63,19 +66,19 @@ def signed_variation(seq, mean_seq):
     Per vertex and frame the displacement from the mean mesh is projected on
     the mean mesh's outward vertex normal, so outward expansion is positive;
     the per-vertex average over frames is returned pooled over structures.
+    The mean's normals come from one pass over a frame's pooled faces.
     """
     if seq.n_frames != mean_seq.n_frames:
         raise ValueError("sequences must have the same frame count")
+    for s in STRUCTURES:
+        if seq[0][s].n_vertices != mean_seq[0][s].n_vertices:
+            raise ValueError(f"topology mismatch for structure {s}")
+    faces = mean_seq.topology().corners.T
     total = None
     for fr, mean_fr in zip(seq.frames, mean_seq.frames):
-        per_structure = []
-        for s in STRUCTURES:
-            if fr[s].n_vertices != mean_fr[s].n_vertices:
-                raise ValueError(f"topology mismatch for structure {s}")
-            normals = vertex_normals(mean_fr[s])
-            diff = fr[s].vertices - mean_fr[s].vertices
-            per_structure.append(np.einsum("ij,ij->i", diff, normals))
-        frame_field = np.concatenate(per_structure)
+        mean = mean_fr.all_vertices()
+        m, norm = accumulated_normals(mean, faces)
+        frame_field = np.einsum("ij,ij->i", fr.all_vertices() - mean, m / norm[:, None])
         total = frame_field if total is None else total + frame_field
     return total / seq.n_frames
 
@@ -114,42 +117,57 @@ def vertex_correlation(fields, attribute):
     return r, p, significant
 
 
+def _nearest(z, zq, exclude, k):
+    """(Q, k) indices of the rows of ``z`` nearest each row of ``zq``, never
+    row ``exclude[q]`` for query q (if given): blocks of queries fit
+    ``_BLOCK_BYTES``, and stable sorts break ties toward the lower index."""
+    if not 1 <= k <= len(z):
+        raise ValueError("k must satisfy 1 <= k <= subject count")
+    if exclude is not None and k == len(z):
+        raise ValueError("k exceeds the number of candidates")
+    step = max(1, _BLOCK_BYTES // max(z.nbytes, 1))
+    out = np.empty((len(zq), k), dtype=np.intp)
+    for i in range(0, len(zq), step):
+        d = np.linalg.norm(z[None] - zq[i : i + step, None], axis=2)
+        if exclude is not None:
+            d[np.arange(len(d)), exclude[i : i + step]] = np.inf
+        out[i : i + step] = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return out
+
+
 def knn_retrieve(features, query, k):
     """Indices of the k nearest subjects in z-scored Euclidean distance.
 
     ``query`` is either a subject index, which is never among its own
     results, or a raw feature vector, which ranks every stored row.
-    Distance ties break toward the lower index.
+    Distance ties break toward the lower index, as in the blocked ranking of
+    :func:`precision_at_k` and :func:`recall_at_k`.
     """
-    if not 1 <= k < features.n_subjects + 1:
-        raise ValueError("k must satisfy 1 <= k <= subject count")
     if np.isscalar(query) or isinstance(query, (int, np.integer)):
-        d = np.linalg.norm(features.z - features.z[int(query)], axis=1)
-        d[int(query)] = np.inf
-        if k == features.n_subjects:
-            raise ValueError("k exceeds the number of candidates")
-    else:
-        d = np.linalg.norm(features.z - features.standardize(query), axis=1)
-    order = np.argsort(d, kind="stable")
-    return order[:k]
+        q = np.array([int(query)])
+        return _nearest(features.z, features.z[q], q, k)[0]
+    if np.ndim(query) != 1:
+        raise ValueError(f"query has shape {np.shape(query)}, expected one feature row")
+    return _nearest(features.z, features.standardize(query)[None], None, k)[0]
 
 
 def precision_at_k(features, groups, k, n_queries, seed):
     """Mean fraction of the k retrieved subjects sharing the query's group,
     in percent.  Queries are drawn with replacement; the query subject is
-    excluded from its own candidates."""
+    excluded from its own candidates.  Each distinct query is ranked once,
+    in blocks under a fixed memory budget; shares add up in draw order."""
     groups = np.asarray(groups)
     if groups.shape != (features.n_subjects,):
         raise ValueError("groups length must match the subject count")
-    if len(np.unique(groups)) < 1:
-        raise ValueError("groups must be non-empty")
+    if n_queries < 1:
+        raise ValueError(f"n_queries {n_queries} must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
     queries = rng.integers(0, features.n_subjects, size=n_queries)
-    hits = 0.0
-    for q in queries:
-        idx = knn_retrieve(features, int(q), k)
-        hits += float(np.mean(groups[idx] == groups[q]))
-    return 100.0 * hits / n_queries
+    subjects, draw = np.unique(queries, return_inverse=True)
+    idx = _nearest(features.z, features.z[subjects], subjects, k)
+    shares = np.count_nonzero(groups[idx] == groups[subjects, None], axis=1) / k
+    # a running sum adds in draw order, as a loop over the queries would
+    return 100.0 * float(np.cumsum(shares[draw])[-1]) / n_queries
 
 
 def recall_at_k(features_t1, features_t2, k):
@@ -157,15 +175,12 @@ def recall_at_k(features_t1, features_t2, k):
     to their second-scan query, in percent.
 
     Both matrices must list the same subjects in the same row order; queries
-    are standardized with the first-scan statistics.
+    are standardized with the first-scan statistics and ranked in blocks
+    under a fixed memory budget.
     """
     if features_t1.n_subjects != features_t2.n_subjects:
         raise ValueError("timepoints must have the same subject count")
     if features_t1.raw.shape[1] != features_t2.raw.shape[1]:
         raise ValueError("timepoints must have the same feature count")
-    n = features_t1.n_subjects
-    found = 0
-    for i in range(n):
-        idx = knn_retrieve(features_t1, features_t2.raw[i], k)
-        found += int(i in idx)
-    return 100.0 * found / n
+    idx = _nearest(features_t1.z, features_t1.standardize(features_t2.raw), None, k)
+    return 100.0 * np.count_nonzero(idx == np.arange(len(idx))[:, None]) / len(idx)

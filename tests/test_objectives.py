@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +38,8 @@ from cardioshape.objectives import (
 )
 
 from conftest import pooled, toy_sequence
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -239,8 +246,30 @@ class TestLabelledPointsMatch:
             )
             np.testing.assert_array_equal(target.vp, idx_vp)
             np.testing.assert_array_equal(target.pv, idx_pv)
-            assert value == float(d_vp @ (1.0 / n_v) + d_pv @ (1.0 / n_p))
+            ref_value = np.einsum("i,i->", d_vp, 1.0 / n_v) + np.einsum("i,i->", d_pv, 1.0 / n_p)
+            assert value == float(ref_value)
             np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_value_bits_do_not_depend_on_blas_threads(self):
+        # paper-size sides (27,034 rows each): BLAS splits a dot product this
+        # long across its threads, and each split rounds the sum differently
+        code = (
+            "import numpy as np\n"
+            "from cardioshape.objectives import LabelledPoints\n"
+            "rng = np.random.default_rng(0)\n"
+            "labels = rng.integers(0, 5, 27034)\n"
+            "target = LabelledPoints(rng.normal(0, 30, (27034, 3)), labels)\n"
+            "print(target.match(rng.normal(0, 30, (27034, 3)), labels)[0].hex())\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        values = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                timeout=300, env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": n},
+            ).stdout
+            for n in ("1", "2")
+        ]
+        assert values[0] == values[1]
 
     def test_failed_call_keeps_no_state(self, monkeypatch):
         # the vertex side re-queries at `moved`, then the point side raises;

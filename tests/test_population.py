@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cardioshape import synth
-from cardioshape.mesh import MeshSequence, inflate_along_normals, TriMesh, STRUCTURES, ChamberSet
+from cardioshape import population, synth
+from cardioshape.mesh import (
+    MeshSequence, inflate_along_normals, TriMesh, STRUCTURES, ChamberSet, vertex_normals,
+)
 from cardioshape.population import (
     FeatureMatrix,
     knn_retrieve,
@@ -43,6 +49,20 @@ class TestSignedVariation:
         field = signed_variation(seq, mean_seq)
         assert np.abs(field - 2.0).max() < 0.1
         assert (field > 0).all()  # outward displacement is positive
+
+    def test_equals_per_structure_normals(self):
+        # the reference takes each structure's normals on its own
+        pop = synth.synth_population(synth.SynthConfig(scale=0.02, n_frames=3, seed=5), 4)
+        mean_seq = pop.sequences[0]
+        for seq in pop.sequences[1:]:
+            frames = [
+                np.concatenate([
+                    np.einsum("ij,ij->i", fr[s].vertices - m[s].vertices, vertex_normals(m[s]))
+                    for s in STRUCTURES
+                ])
+                for fr, m in zip(seq.frames, mean_seq.frames)
+            ]
+            assert np.array_equal(signed_variation(seq, mean_seq), sum(frames) / seq.n_frames)
 
     def test_topology_mismatch(self, template_pair):
         cfg = synth.SynthConfig(scale=0.02, n_frames=2, seed=1)
@@ -141,6 +161,11 @@ class TestKnnRetrieve:
         with pytest.raises(ValueError):
             knn_retrieve(feats, 0, 10)
 
+    def test_query_of_several_rows_rejected(self):
+        feats = FeatureMatrix(np.random.default_rng(6).normal(size=(10, 2)))
+        with pytest.raises(ValueError, match="one feature row"):
+            knn_retrieve(feats, feats.raw[:2], 3)
+
 
 class TestPrecisionAtK:
     def test_single_group_is_100(self):
@@ -162,6 +187,59 @@ class TestPrecisionAtK:
         groups = np.arange(400) % 2
         got = precision_at_k(feats, groups, 10, n_queries=5000, seed=4)
         assert abs(got - 50.0) <= 2.0
+
+    @pytest.mark.parametrize("n_queries", [0, -3])
+    def test_n_queries_below_one_rejected(self, n_queries):
+        feats = FeatureMatrix(np.random.default_rng(18).normal(size=(10, 2)))
+        with pytest.raises(ValueError, match="n_queries"):
+            precision_at_k(feats, np.zeros(10, int), 3, n_queries=n_queries, seed=0)
+
+
+def _ranked(z, zq, exclude, k):
+    """One query's k nearest rows: norm, then a stable argsort."""
+    d = np.linalg.norm(z - zq, axis=1)
+    if exclude is not None:
+        d[exclude] = np.inf
+    return np.argsort(d, kind="stable")[:k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    n_features=st.integers(1, 20),
+    rounded=st.booleans(),
+    k_last=st.booleans(),
+    n_queries=st.integers(1, 120),
+    per_block=st.integers(1, 4),
+    noise=st.sampled_from([0.0, 0.05, 0.5]),
+)
+def test_retrieval_equals_one_query_at_a_time(
+    seed, n, n_features, rounded, k_last, n_queries, per_block, noise
+):
+    # rounded features tie in distance, queries repeat (drawn with
+    # replacement), k reaches n - 1, and a block holds only a few queries
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, n_features))
+    if rounded:  # rows repeat, so distances tie
+        raw = np.round(raw, 1)[rng.integers(0, n // 2 + 1, n)]
+    raw2 = raw + noise * rng.normal(size=raw.shape)
+    if rounded:
+        raw2 = np.round(raw2, 1)
+    groups = rng.integers(0, 3, n)
+    k = n - 1 if k_last else int(rng.integers(1, n))
+    feats, feats2 = FeatureMatrix(raw), FeatureMatrix(raw2)
+    queries = np.random.Generator(np.random.Philox(seed)).integers(0, n, size=n_queries)
+    hits = 0.0
+    for q in queries:
+        hits += float(np.mean(groups[_ranked(feats.z, feats.z[q], q, k)] == groups[q]))
+    found = 0
+    for i in range(n):
+        zq = (raw2[i][feats.kept] - feats.mean) / feats.sd
+        found += int(i in _ranked(feats.z, zq, None, k))
+    with mock.patch.object(population, "_BLOCK_BYTES", per_block * feats.z.nbytes):
+        assert precision_at_k(feats, groups, k, n_queries, seed) == 100.0 * hits / n_queries
+        assert recall_at_k(feats, feats2, k) == 100.0 * found / n
 
 
 class TestRecallAtK:
