@@ -7,7 +7,7 @@ Run:  python demos/03_motion_correction.py
 import numpy as np
 
 from cardioshape import synth
-from cardioshape.motion import eval_intersections, mc_optimize
+from cardioshape.motion import eval_intersections, mc_objective, mc_optimize
 
 cfg = synth.SynthConfig(scale=0.05, n_frames=6, seed=11, voxel_size=2.0)
 pop = synth.synth_population(cfg, 1)
@@ -23,12 +23,13 @@ rng = np.random.Generator(np.random.Philox(42))
 views, injected = synth.slice_views(intensity, labels, geometry, specs, sigma=2.0, rng=rng)
 
 before = eval_intersections(views)
-print(f"\nbefore correction: dice {before['dice']:.3f}, pearson r {before['pearson_r']:.3f}")
+print(f"\nbefore correction: dice {before['dice']:.3f}, pearson r {before['pearson_r']:.3f}, "
+      f"objective {mc_objective(views)[0]:.1f}")
 
-displacements, trace = mc_optimize(views, epochs=200)
+displacements, _ = mc_optimize(views, epochs=200)
 after = eval_intersections(views)
-print(f"after  correction: dice {after['dice']:.3f}, pearson r {after['pearson_r']:.4f}")
-print(f"objective: {trace[0]:.1f} -> {trace.min():.1f}")
+print(f"after  correction: dice {after['dice']:.3f}, pearson r {after['pearson_r']:.4f}, "
+      f"objective {mc_objective(views)[0]:.1f}")
 
 print("\nper-plane recovery (correction should cancel the injected shift):")
 for pid in sorted(injected):

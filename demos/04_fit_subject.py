@@ -4,11 +4,9 @@ free-form deformations.
 Run:  python demos/04_fit_subject.py
 """
 
-import numpy as np
-
 from cardioshape import synth
 from cardioshape.fitting import FitConfig, fit_sequence
-from cardioshape.mesh import STRUCTURES, MeshSequence, vectorize
+from cardioshape.mesh import STRUCTURES, MeshSequence, pooled
 from cardioshape.objectives import TargetClouds, cycle_loss, recon_loss, surface_distances
 
 cfg = synth.SynthConfig(scale=0.05, n_frames=6, seed=4)
@@ -17,12 +15,6 @@ subject = pop.sequences[0]
 
 # pretend we only observed the subject as per-frame surface point clouds
 targets = TargetClouds.from_sequence(subject)
-
-
-def pooled(seq):
-    """(T, V, 3) coordinates and shared topology, as the losses take them."""
-    return vectorize(seq).reshape(seq.n_frames, -1, 3), seq.topology()
-
 
 fit_cfg = FitConfig(
     dims_coarse=(6, 6, 8),

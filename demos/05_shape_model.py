@@ -7,7 +7,7 @@ Run:  python demos/05_shape_model.py
 import numpy as np
 
 from cardioshape import synth
-from cardioshape.mesh import STRUCTURES, devectorize, vectorize
+from cardioshape.mesh import devectorize, vectorize
 from cardioshape.ssm import (
     ShapeModel,
     compactness,
@@ -52,25 +52,9 @@ for sd in (-2.0, 2.0):
     print(f"mode 0 at {sd:+.0f} SD: LV-endo extent "
           f"{np.ptp(lv, axis=0).round(1)} mm")
 
-# sparse contours from a held-out subject
+# sparse contours from a held-out subject: 10 short- and 10 long-axis cuts
 subject = devectorize(test[1], topology)
-planes = [
-    (np.array([0.0, 0.0, z]), np.array([0.0, 0.0, 1.0]))
-    for z in np.linspace(-45, 45, 9)
-] + [
-    (np.zeros(3), np.array([np.sin(a), -np.cos(a), 0.0]))
-    for a in np.linspace(0.2, 2.8, 8)
-]
-contours = []
-for t in range(topology.n_frames):
-    frame = {}
-    for s in STRUCTURES:
-        pts = [synth.plane_section(subject.frames[t][s], o, n) for o, n in planes]
-        pts = [p for p in pts if len(p)]
-        if pts:
-            frame[s] = np.concatenate(pts)
-    contours.append(frame)
-w_hat = fit_to_contours(model, contours)
+w_hat = fit_to_contours(model, synth.contour_sample(subject))
 w_direct = encode(model, test[1])
 print(f"\ncontour fit vs direct encoding, first 5 weights:")
 print("  fitted :", np.round(w_hat[:5], 2))

@@ -11,6 +11,7 @@ from cardioshape.mesh import vectorize
 from cardioshape.phenotypes import phenotype_table, volume_curve
 from cardioshape.population import (
     FeatureMatrix,
+    knn_retrieve,
     precision_at_k,
     recall_at_k,
     signed_variation,
@@ -56,6 +57,9 @@ precision = precision_at_k(
 )
 print(f"\nretrieval precision@10 on the group attribute: {precision:.1f}% "
       f"(group is driven by mode 0)")
+nearest = knn_retrieve(features, 0, 5)
+print(f"subject 0 (group {pop.attributes['group'][0]}): nearest subjects {nearest.tolist()}, "
+      f"groups {pop.attributes['group'][nearest].tolist()}")
 
 # longitudinal re-identification: second 'scan' = re-encoded noisy meshes
 noisy = descriptors + 0.05 * descriptors.std(axis=0) * np.random.default_rng(

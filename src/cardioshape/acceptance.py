@@ -20,7 +20,7 @@ from . import io as cio
 from . import ssm as cssm
 from .ffd import ControlGrid, compose_warp, compose_warp_gradient, warp_gradient, warp_points
 from .fitting import FitConfig, fit_sequence
-from .mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh, devectorize, vectorize
+from .mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh, devectorize, pooled, vectorize
 from .motion import eval_intersections, mc_optimize
 from .objectives import (
     TargetClouds,
@@ -35,12 +35,13 @@ from .population import FeatureMatrix, precision_at_k, recall_at_k, truncate_des
 from .synth import (
     SynthConfig,
     VolumeGeometry,
+    contour_sample,
+    contracted,
     default_view_specs,
     icosphere,
     intensity_volume,
     make_template,
     make_texture,
-    plane_section,
     seeded_rng,
     slice_views,
     synth_population,
@@ -123,11 +124,6 @@ def criterion_1_ffd():
     )
 
 
-def _pooled(seq):
-    """A sequence as the fit losses take it: (T, V, 3) coordinates, topology."""
-    return vectorize(seq).reshape(seq.n_frames, -1, 3), seq.topology()
-
-
 def _oracle_symmetric(a, b):
     d = distance_matrix(a, b)
     return d.min(axis=1).mean() + d.min(axis=0).mean()
@@ -152,7 +148,7 @@ def criterion_2_loss_oracles():
             for fr in seq.frames
         ]
     )
-    x, topo = _pooled(seq)
+    x, topo = pooled(seq)
     value, _ = recon_loss(x, topo, targets)
     oracle = (
         sum(
@@ -168,11 +164,11 @@ def criterion_2_loss_oracles():
     b = rng.normal(1, 9, (220, 3))
     sd = surface_distances(a, b)
     dm = distance_matrix(a, b)
-    pooled = np.concatenate([dm.min(axis=1), dm.min(axis=0)])
+    both = np.concatenate([dm.min(axis=1), dm.min(axis=0)])
     sd_err = max(
-        abs(sd["assd"] - pooled.mean()),
+        abs(sd["assd"] - both.mean()),
         abs(sd["uni_assd_a_to_b"] - dm.min(axis=1).mean()),
-        abs(sd["hd90"] - np.percentile(pooled, 90)),
+        abs(sd["hd90"] - np.percentile(both, 90)),
     )
 
     value_e, _ = edge_loss(x, topo)
@@ -202,7 +198,7 @@ def criterion_2_loss_oracles():
     )
     cycle_err = abs(value_c - oracle_c)
 
-    curv_self, _ = curvature_loss(*_pooled(MeshSequence([pop.template] * 2)), curv)
+    curv_self, _ = curvature_loss(*pooled(MeshSequence([pop.template] * 2)), curv)
     rot = np.array(
         [
             [0.36, -0.8, 0.48],
@@ -212,7 +208,7 @@ def criterion_2_loss_oracles():
     )
     q, _ = np.linalg.qr(rot)
     moved = pop.template.transformed(rotation=q, translation=np.array([5.0, -7.0, 3.0]))
-    curv_rot, _ = curvature_loss(*_pooled(MeshSequence([moved])), curv)
+    curv_rot, _ = curvature_loss(*pooled(MeshSequence([moved])), curv)
 
     passed = (
         recon_err < 1e-12
@@ -306,9 +302,9 @@ def criterion_4_fit():
         iterations=150,
         lr=0.5,
     )
-    recon0, _ = recon_loss(*_pooled(MeshSequence([template] * n_frames)), targets)
+    recon0, _ = recon_loss(*pooled(MeshSequence([template] * n_frames)), targets)
     seq, grids, trace = fit_sequence(template, targets, fit_cfg)
-    x, topo = _pooled(seq)
+    x, topo = pooled(seq)
     recon1, _ = recon_loss(x, topo, targets)
     cyc, _ = cycle_loss(x, topo)
     connectivity_ok = all(
@@ -418,38 +414,14 @@ def criterion_6_ssm_curves():
 
 def _criterion_7_subject(model, subject_idx):
     """One recovery trial, on its own seed stream."""
-    topo = model.topology
     ev = model.explained_variance
     rng = seeded_rng(np.random.SeedSequence([707, subject_idx]))
-    sax = [
-        (np.array([0.37, -0.61, z]), np.array([0.0, 0.0, 1.0]))
-        for z in np.linspace(-46, 44, 10)
-    ]
-    la = [
-        (np.array([0.37, -0.61, 0.29]), np.array([np.sin(a), -np.cos(a), 0.0]))
-        for a in np.linspace(0.13, np.pi - 0.22, 10)
-    ]
-    planes = sax + la
     w_true = np.zeros(model.n_active)
     for k in range(5):
         w_true[k] = rng.choice([-1, 1]) * rng.uniform(1.2, 2.0) * np.sqrt(ev[k])
     w_true[5:] = rng.normal(0, 0.2, model.n_active - 5) * np.sqrt(ev[5:])
-    seq = devectorize(cssm.decode(model, w_true), topo)
-    contours = []
-    for t in range(topo.n_frames):
-        frame = {}
-        for s in STRUCTURES:
-            pts = []
-            for origin, normal in planes:
-                p = plane_section(seq.frames[t][s], origin, normal)
-                if len(p) > 20:
-                    p = p[:: len(p) // 20 + 1]
-                if len(p):
-                    pts.append(p)
-            if pts:
-                frame[s] = np.concatenate(pts)
-        contours.append(frame)
-    w_hat = cssm.fit_to_contours(model, contours)
+    seq = devectorize(cssm.decode(model, w_true), model.topology)
+    w_hat = cssm.fit_to_contours(model, contour_sample(seq))
     rel = np.abs(w_hat[:5] - w_true[:5]) / np.abs(w_true[:5])
     return bool(np.all(rel < 0.10))
 
@@ -478,15 +450,6 @@ def criterion_7_contours(n_subjects=30):
         f"top-5 weights within 10% for {ok}/{n_subjects} subjects",
         t0,
     )
-
-
-def _contracted(chambers, factor):
-    out = {}
-    for s in STRUCTURES:
-        v = chambers[s].vertices
-        center = v.mean(axis=0)
-        out[s] = chambers[s].with_vertices(center + factor * (v - center))
-    return ChamberSet(out)
 
 
 def criterion_8_phenotypes():
@@ -539,7 +502,7 @@ def criterion_8_phenotypes():
     for t in range(5):
         phase = np.sin(np.pi * t / 4) ** 2
         f = 1.0 - (1.0 - factor) * phase
-        frames.append(_contracted(template, f))
+        frames.append(contracted(template, dict.fromkeys(STRUCTURES, f)))
     table_ef = phenotype_table(MeshSequence(frames))
     ef_err = abs(table_ef.LVEF - target_ef)
 

@@ -110,13 +110,14 @@ def _out(args):
 
 
 def cmd_synth(args):
+    if args.sigma < 0:
+        raise cio.ValidationError(f"--sigma {args.sigma}: a standard deviation must be >= 0")
     cfg = SynthConfig(
         seed=args.seed,
         scale=args.scale,
         n_frames=args.frames,
         n_modes=args.modes,
         voxel_size=args.voxel_size,
-        displacement_sigma=args.sigma,
     )
     out = _out(args)
     pop = synth_population(cfg, args.subjects)
@@ -148,9 +149,7 @@ def cmd_synth(args):
             ]
             if args.volumes:
                 cio.save_volume(subj / "intensity.bin", np.stack(intens), geom)
-            views, injected = slice_views(
-                intens, labels, geom, specs, cfg.displacement_sigma, rng
-            )
+            views, injected = slice_views(intens, labels, geom, specs, args.sigma, rng)
             cio.save_views(subj / "views.bin", views)
             truth["injected_displacements"] = {
                 k: [float(v[0]), float(v[1])] for k, v in injected.items()
@@ -233,25 +232,34 @@ def _model(args):
     return template, cio.load_model(args.model, template)
 
 
+def _load_frames(path, n_frames, source="the model"):
+    """The mesh sequence at ``path``, which must have the ``n_frames`` frames
+    of ``source``."""
+    seq = cio.load_sequence(path)
+    if seq.n_frames != n_frames:
+        raise cio.ValidationError(f"{path}: {seq.n_frames} frames, {source} has {n_frames}")
+    return seq
+
+
 def cmd_ssm_train(args):
     template = cio.load_chamber_set(args.template)
     if args.batch_size < 1:
         raise cio.ValidationError("--batch-size must be >= 1")
     # Streamed: only one --batch-size group of subjects is held at a time.
     dirs = _subject_dirs(args.data)
+    first = dirs[0] / "meshes"
     model = None
     for start in range(0, len(dirs), args.batch_size):
-        batch = np.stack(
-            [
-                vectorize(_to_model_space(cio.load_sequence(d / "meshes"), template))
-                for d in dirs[start : start + args.batch_size]
-            ]
-        )
-        if model is None:
-            n_frames = batch.shape[1] // (3 * template.total_vertices)
-            topology = Topology.from_chamber_set(template, n_frames)
-            model = cssm.ShapeModel(n_components=args.components, topology=topology)
-        cssm.ipca_partial_fit(model, batch)
+        rows = []
+        for d in dirs[start : start + args.batch_size]:
+            if model is None:  # the first subject sets the frame count
+                seq = cio.load_sequence(first)
+                topology = Topology.from_chamber_set(template, seq.n_frames)
+                model = cssm.ShapeModel(n_components=args.components, topology=topology)
+            else:
+                seq = _load_frames(d / "meshes", model.topology.n_frames, first)
+            rows.append(vectorize(_to_model_space(seq, template)))
+        cssm.ipca_partial_fit(model, np.stack(rows))
     if model.n_active == 0:
         raise cio.ValidationError(f"--data {args.data}: no shape variation, so no component")
     cio.save_model(_out(args) / "model.hssm", model, model.topology)
@@ -260,7 +268,7 @@ def cmd_ssm_train(args):
 
 def cmd_ssm_encode(args):
     template, model = _model(args)
-    seq = _to_model_space(cio.load_sequence(args.meshes), template)
+    seq = _to_model_space(_load_frames(args.meshes, model.topology.n_frames), template)
     w = cssm.encode(model, vectorize(seq))
     cio.save_features_csv(_out(args) / "descriptor.csv", w[None, :])
     return 0
@@ -287,10 +295,8 @@ def cmd_ssm_fit_contours(args):
 
 def cmd_ssm_complete(args):
     template, model = _model(args)
-    seq = cio.load_sequence(args.meshes)
     n = model.topology.n_frames
-    if seq.n_frames != n:
-        raise cio.ValidationError(f"{args.meshes}: {seq.n_frames} frames, the model has {n}")
+    seq = _load_frames(args.meshes, n)
     indices = args.observed.split(",")
     if not all(t.strip().isdecimal() and int(t) < n for t in indices):
         raise cio.ValidationError(f"--observed {args.observed!r}: frames must lie in 0..{n - 1}")
@@ -344,7 +350,8 @@ def cmd_corr(args):
     fields = np.stack(
         [
             signed_variation(
-                _to_model_space(cio.load_sequence(d / "meshes"), template), mean_seq
+                _to_model_space(_load_frames(d / "meshes", model.topology.n_frames), template),
+                mean_seq,
             )
             for d in subject_dirs
         ]
@@ -439,7 +446,7 @@ def build_parser():
     p.add_argument("--frames", type=int, default=20)
     p.add_argument("--modes", type=int, default=SynthConfig.n_modes)
     p.add_argument("--voxel-size", type=float, default=SynthConfig.voxel_size)
-    p.add_argument("--sigma", type=float, default=SynthConfig.displacement_sigma)
+    p.add_argument("--sigma", type=float, default=2.0)
     p.add_argument("--sax", type=int, default=7)
     p.add_argument("--pixel-spacing", type=float, default=2.0)
     p.add_argument("--views", action="store_true")

@@ -354,6 +354,12 @@ def vectorize(seq):
     return np.concatenate(parts)
 
 
+def pooled(seq):
+    """A sequence as the fit losses take it: (T, V, 3) coordinates, one row
+    per pooled vertex, and the topology its frames share."""
+    return vectorize(seq).reshape(seq.n_frames, -1, 3), seq.topology()
+
+
 def devectorize(coords, topology):
     """Inverse of :func:`vectorize` for a known topology."""
     coords = np.asarray(coords, dtype=np.float64)

@@ -76,15 +76,12 @@ class SynthConfig:
     n_modes: int = 6
     n_frames: int
     voxel_size: float = 2.0
-    displacement_sigma: float = 2.0
 
     def __post_init__(self):
         if self.budgets is None:
             self.budgets = tuple(
                 max(12, int(round(b * self.scale))) for b in FULL_SCALE_BUDGETS
             )
-        if self.displacement_sigma < 0:
-            raise ValueError("displacement_sigma must be >= 0")
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
 
@@ -101,11 +98,8 @@ class Population:
     motion_scales: np.ndarray
 
 
-_ICO_COUNTS = {12: 0, 42: 1, 162: 2, 642: 3, 2562: 4, 10242: 5}
-
-
-def icosphere(subdivisions, structure_id="LV-endo"):
-    """Unit icosphere with outward counter-clockwise faces."""
+def icosphere(subdivisions):
+    """Unit icosphere labelled LV-endo, with outward counter-clockwise faces."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -141,18 +135,14 @@ def icosphere(subdivisions, structure_id="LV-endo"):
             ca = midpoint(c, a)
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
-    return TriMesh(np.array(verts), np.array(faces), structure_id)
+    return TriMesh(np.array(verts), np.array(faces), "LV-endo")
 
 
 def sphere_mesh(n_vertices, structure_id):
-    """Closed unit-sphere mesh with exactly ``n_vertices`` vertices.
-
-    Uses an icosphere when the count matches a subdivision level, otherwise a
+    """Closed unit-sphere mesh with exactly ``n_vertices`` vertices: a
     Fibonacci lattice triangulated by its convex hull (every lattice point is
     in convex position, so all vertices are used).
     """
-    if n_vertices in _ICO_COUNTS:
-        return icosphere(_ICO_COUNTS[n_vertices], structure_id)
     if n_vertices < 12:
         raise ValueError("sphere_mesh needs at least 12 vertices")
     k = np.arange(n_vertices, dtype=np.float64)
@@ -256,6 +246,17 @@ def synth_population(cfg, n_subjects):
     )
 
 
+def contracted(chambers, factors):
+    """Each structure ``s`` scaled by ``factors[s]`` about its own vertex
+    centroid: the motion law of :func:`synth_population`."""
+    meshes = {}
+    for s in STRUCTURES:
+        v = chambers[s].vertices
+        center = v.mean(axis=0)
+        meshes[s] = chambers[s].with_vertices(center + factors[s] * (v - center))
+    return ChamberSet(meshes)
+
+
 def _subject_sequence(template, fields, w, cfg, motion_scale):
     shape = template.with_all_vertices(
         template.all_vertices() + np.tensordot(w, fields, axes=1)
@@ -263,15 +264,8 @@ def _subject_sequence(template, fields, w, cfg, motion_scale):
     amplitude = MOTION_AMPLITUDE * motion_scale
     frames = []
     for t in range(cfg.n_frames):
-        coords = {}
-        for s in STRUCTURES:
-            v = shape[s].vertices
-            center = v.mean(axis=0)
-            f = _motion_factor(s, t, cfg.n_frames, amplitude)
-            coords[s] = center + f * (v - center)
-        frames.append(
-            ChamberSet({s: shape[s].with_vertices(coords[s]) for s in STRUCTURES})
-        )
+        factors = {s: _motion_factor(s, t, cfg.n_frames, amplitude) for s in STRUCTURES}
+        frames.append(contracted(shape, factors))
     return MeshSequence(frames)
 
 
@@ -559,9 +553,12 @@ def slice_views(intensity_frames, label_frames, geometry, specs, sigma, rng):
 
     Each plane's content is sampled at positions shifted by a recorded
     in-plane displacement drawn from N(0, sigma) per axis (mm); the returned
-    ground truth maps plane id to that injected shift.  Recovering alignment
-    means driving each plane's correction toward minus the injected shift.
+    ground truth maps plane id to that injected shift (none for sigma 0, a
+    standard deviation that must be >= 0).  Recovering alignment means
+    driving each plane's correction toward minus the injected shift.
     """
+    if sigma < 0:
+        raise ValueError(f"sigma {sigma}: a standard deviation must be >= 0")
     sax_specs, la2_spec, la4_spec = specs
     injected = {}
 
@@ -604,3 +601,34 @@ def plane_section(mesh, plane_origin, plane_normal):
     e = edges[crossing]
     t = (da[crossing] / (da[crossing] - db[crossing]))[:, None]
     return v[e[:, 0]] + t * (v[e[:, 1]] - v[e[:, 0]])
+
+
+# (origin, normal) of the cuts of :func:`contour_sample`, offset from the
+# origin as scanner geometry would be.
+_CONTOUR_PLANES = [
+    (np.array([0.37, -0.61, z]), np.array([0.0, 0.0, 1.0]))
+    for z in np.linspace(-46, 44, 10)
+] + [
+    (np.array([0.37, -0.61, 0.29]), np.array([np.sin(a), -np.cos(a), 0.0]))
+    for a in np.linspace(0.13, np.pi - 0.22, 10)
+]
+
+
+def contour_sample(seq):
+    """Sparse contours of a sequence, as cine CMR shows a heart: every frame
+    cut by 10 short-axis and 10 long-axis planes, each cut thinned to about
+    20 points.
+
+    Returns one ``{structure: (n, 3) points}`` dict per frame; a structure
+    that no plane cuts is absent from its frame.
+    """
+    contours = []
+    for frame in seq.frames:
+        cuts = {}
+        for s in STRUCTURES:
+            sections = [plane_section(frame[s], o, n) for o, n in _CONTOUR_PLANES]
+            pts = [p[:: len(p) // 20 + 1] if len(p) > 20 else p for p in sections if len(p)]
+            if pts:
+                cuts[s] = np.concatenate(pts)
+        contours.append(cuts)
+    return contours

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cardioshape import synth
-from cardioshape.mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh, vectorize
+from cardioshape.mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh
 
 
 @pytest.fixture(scope="session")
@@ -65,9 +65,3 @@ def toy_sequence(n_frames=3, motion=None, base=None):
             )
         )
     return MeshSequence(frames)
-
-
-def pooled(seq):
-    """A sequence as the fit losses take it: (T, V, 3) coordinates and the
-    topology its frames share."""
-    return vectorize(seq).reshape(seq.n_frames, -1, 3), seq.topology()

@@ -4,11 +4,12 @@ overridden by such a caller.
 
 A name counts as called when it appears as a word in the code of ``src/``,
 ``demos/`` or ``benchmarks/*.py`` (an identifier, an attribute, or a word of
-a string that is not a docstring; an import is not a use) outside its own
-definition and outside the definitions of names that are themselves
-uncalled.  ``benchmarks/test_checks.py`` is a test and does not count.  A
-name that collides with another identifier (``copy``, ``centers``) always
-looks called: this is a guard, not a proof.
+a string of ``src/`` or ``demos/`` that is not a docstring; an import is not
+a use) outside its own definition and outside the definitions of names that
+are themselves uncalled.  A string of ``benchmarks/`` names what the tracer
+times, not a caller.  ``benchmarks/test_checks.py`` is a test and does not
+count.  A name that collides with another identifier (``copy``,
+``centers``) always looks called: this is a guard, not a proof.
 
 A default (a defaulted parameter, or a defaulted field of a dataclass) is
 checked against the calls of ``src/``, ``demos/`` and ``benchmarks/*.py``
@@ -83,13 +84,15 @@ def _word_uses():
     for path in paths:
         tree = ast.parse(path.read_text())
         docstrings = _docstrings(tree)
+        strings_count = path.parent.name != "benchmarks"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 words = [node.id]
             elif isinstance(node, ast.Attribute):
                 words = [node.attr]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                words = [] if id(node) in docstrings else re.findall(r"\w+", node.value)
+                counted = strings_count and id(node) not in docstrings
+                words = re.findall(r"\w+", node.value) if counted else []
             else:
                 continue
             for word in words:

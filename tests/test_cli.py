@@ -620,6 +620,73 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    @staticmethod
+    def _short_subject(synth_dir, data):
+        """``data`` with subject_000 (3 frames) and subject_001 (its first
+        2 frames); returns subject_001's meshes directory."""
+        shutil.copytree(synth_dir / "subject_000" / "meshes", data / "subject_000" / "meshes")
+        seq = cio.load_sequence(synth_dir / "subject_001" / "meshes")
+        short = data / "subject_001" / "meshes"
+        cio.save_sequence(short, MeshSequence(seq.frames[:2]))
+        return short
+
+    @pytest.mark.parametrize("batch_size", ["1", "2"])
+    def test_train_frame_count_mismatch_names_directory(
+        self, synth_dir, tmp_path, capsys, batch_size
+    ):
+        short = self._short_subject(synth_dir, tmp_path / "data")
+        rc = main(
+            [
+                "ssm", "train", "--data", str(tmp_path / "data"),
+                "--template", str(synth_dir / "template"), "--components", "2",
+                "--batch-size", batch_size, "--out", str(tmp_path / "ssm"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{short}: 2 frames" in err and "has 3" in err
+        assert str(tmp_path / "data" / "subject_000" / "meshes") in err
+        assert not (tmp_path / "ssm").exists()
+
+    def test_encode_frame_count_mismatch_names_directory(
+        self, synth_dir, model_dir, tmp_path, capsys
+    ):
+        short = self._short_subject(synth_dir, tmp_path / "data")
+        rc = main(
+            [
+                "ssm", "encode", "--template", str(synth_dir / "template"),
+                "--model", str(model_dir / "model.hssm"), "--meshes", str(short),
+                "--out", str(tmp_path / "desc"),
+            ]
+        )
+        assert rc == 2
+        assert f"{short}: 2 frames, the model has 3" in capsys.readouterr().err
+        assert not (tmp_path / "desc").exists()
+
+    def test_corr_frame_count_mismatch_names_directory(
+        self, synth_dir, model_dir, tmp_path, capsys
+    ):
+        short = self._short_subject(synth_dir, tmp_path / "data")
+        attributes = tmp_path / "attributes.csv"
+        cio.save_features_csv(attributes, np.arange(2.0)[:, None])
+        rc = main(
+            [
+                "corr", "--data", str(tmp_path / "data"),
+                "--model", str(model_dir / "model.hssm"),
+                "--template", str(synth_dir / "template"), "--attributes", str(attributes),
+                "--attribute", "f0", "--out", str(tmp_path / "corr"),
+            ]
+        )
+        assert rc == 2
+        assert f"{short}: 2 frames, the model has 3" in capsys.readouterr().err
+        assert not (tmp_path / "corr").exists()
+
+    def test_synth_negative_sigma_names_flag(self, tmp_path, capsys):
+        rc = main(["synth", "--sigma", "-1", "--out", str(tmp_path / "synth")])
+        assert rc == 2
+        assert "--sigma" in capsys.readouterr().err
+        assert not (tmp_path / "synth").exists()
+
     @pytest.mark.parametrize("observed", ["3", "9", "-1", "0,x", ""])
     def test_complete_observed_out_of_range_exit_2(
         self, synth_dir, model_dir, tmp_path, capsys, observed

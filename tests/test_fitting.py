@@ -6,10 +6,8 @@ import pytest
 from cardioshape import fitting, mesh, optim, synth
 from cardioshape.ffd import ControlGrid, warp_points
 from cardioshape.fitting import FitConfig, extract_surface_points, fit_sequence
-from cardioshape.mesh import STRUCTURES, MeshSequence
+from cardioshape.mesh import STRUCTURES, MeshSequence, pooled
 from cardioshape.objectives import TargetClouds, cycle_loss, recon_loss, surface_distances
-
-from conftest import pooled
 
 
 class TestExtractSurfacePoints:

@@ -22,6 +22,7 @@ from cardioshape.mesh import (
     accumulated_normals,
     edges_from_faces,
     graph_laplacian,
+    pooled,
 )
 from cardioshape.objectives import (
     LabelledPoints,
@@ -37,7 +38,7 @@ from cardioshape.objectives import (
     total_loss,
 )
 
-from conftest import pooled, toy_sequence
+from conftest import toy_sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from cardioshape import synth
-from cardioshape.mesh import STRUCTURES, TriMesh, vectorize
+from cardioshape import ssm, synth
+from cardioshape.cli import build_parser
+from cardioshape.mesh import STRUCTURES, ChamberSet, MeshSequence, TriMesh, devectorize, pooled, vectorize
 from cardioshape.objectives import cycle_loss, surface_distances
-
-from conftest import pooled
 
 
 class TestSphereMeshes:
@@ -17,7 +16,7 @@ class TestSphereMeshes:
             assert synth.icosphere(subdiv).n_vertices == count
 
     def test_fibonacci_exact_count_closed(self):
-        for n in (100, 431, 614):
+        for n in (100, 431, 614, 642):  # 642 is also an icosphere count
             mesh = synth.sphere_mesh(n, "LV-endo")
             assert mesh.n_vertices == n
             assert mesh.is_closed()
@@ -217,7 +216,13 @@ class TestSliceViews:
         assert all(np.abs(v).max() == 0.0 for v in injected.values())
 
     def test_default_sigma_is_two(self):
-        assert synth.SynthConfig(seed=0, n_frames=50).displacement_sigma == 2.0
+        assert build_parser().parse_args(["synth"]).sigma == 2.0
+
+    def test_negative_sigma_raises(self, volume_setup):
+        intensity, labels, geometry, specs = volume_setup
+        rng = np.random.Generator(np.random.Philox(2))
+        with pytest.raises(ValueError, match="sigma"):
+            synth.slice_views(intensity, labels, geometry, specs, -0.5, rng)
 
     def test_injected_statistics(self, volume_setup):
         intensity, labels, geometry, specs = volume_setup
@@ -475,3 +480,104 @@ class TestArrayCodeMatchesLoops:
                 spec, geometry, intensity, labels, np.array(shift)
             )
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+# The copies below are the code that ``contour_sample`` and ``contracted``
+# replaced, kept as references for bit-for-bit comparisons.
+
+
+def _old_criterion_7_contours(seq):
+    sax = [
+        (np.array([0.37, -0.61, z]), np.array([0.0, 0.0, 1.0]))
+        for z in np.linspace(-46, 44, 10)
+    ]
+    la = [
+        (np.array([0.37, -0.61, 0.29]), np.array([np.sin(a), -np.cos(a), 0.0]))
+        for a in np.linspace(0.13, np.pi - 0.22, 10)
+    ]
+    planes = sax + la
+    contours = []
+    for t in range(seq.n_frames):
+        frame = {}
+        for s in STRUCTURES:
+            pts = []
+            for origin, normal in planes:
+                p = synth.plane_section(seq.frames[t][s], origin, normal)
+                if len(p) > 20:
+                    p = p[:: len(p) // 20 + 1]
+                if len(p):
+                    pts.append(p)
+            if pts:
+                frame[s] = np.concatenate(pts)
+        contours.append(frame)
+    return contours
+
+
+def _old_subject_sequence(template, fields, w, cfg, motion_scale):
+    shape = template.with_all_vertices(
+        template.all_vertices() + np.tensordot(w, fields, axes=1)
+    )
+    amplitude = synth.MOTION_AMPLITUDE * motion_scale
+    frames = []
+    for t in range(cfg.n_frames):
+        coords = {}
+        for s in STRUCTURES:
+            v = shape[s].vertices
+            center = v.mean(axis=0)
+            f = synth._motion_factor(s, t, cfg.n_frames, amplitude)
+            coords[s] = center + f * (v - center)
+        frames.append(
+            ChamberSet({s: shape[s].with_vertices(coords[s]) for s in STRUCTURES})
+        )
+    return MeshSequence(frames)
+
+
+def _old_contracted(chambers, factor):
+    out = {}
+    for s in STRUCTURES:
+        v = chambers[s].vertices
+        center = v.mean(axis=0)
+        out[s] = chambers[s].with_vertices(center + factor * (v - center))
+    return ChamberSet(out)
+
+
+class TestRecipesMatchTheirOldCopies:
+    def test_contour_sample(self):
+        cfg = synth.SynthConfig(scale=0.04, n_frames=3, seed=21)
+        pop = synth.synth_population(cfg, 12)
+        topology = pop.sequences[0].topology()
+        model = ssm.ShapeModel(n_components=6, topology=topology)
+        ssm.ipca_partial_fit(model, np.stack([vectorize(q) for q in pop.sequences]))
+        w = np.random.Generator(np.random.Philox(7)).normal(size=model.n_active)
+        seq = devectorize(ssm.decode(model, w * np.sqrt(model.explained_variance)), topology)
+        got = synth.contour_sample(seq)
+        want = _old_criterion_7_contours(seq)
+        assert len(got) == len(want) == 3
+        for g, r in zip(got, want):
+            assert list(g) == list(r)
+            assert all(np.array_equal(g[s], r[s]) for s in r)
+
+    def test_a_structure_no_plane_cuts_is_absent(self):
+        far = synth.icosphere(1).vertices * 2.0 + (200.0, 0.0, 0.0)
+        meshes = {s: TriMesh(far, synth.icosphere(1).faces, s) for s in STRUCTURES}
+        meshes["RV"] = TriMesh(synth.icosphere(2).vertices * 20.0, synth.icosphere(2).faces, "RV")
+        (frame,) = synth.contour_sample(MeshSequence([ChamberSet(meshes)]))
+        assert list(frame) == ["RV"]
+
+    @pytest.mark.parametrize("scale,n_frames,seed", ((0.02, 3, 7), (0.04, 6, 7), (0.03, 1, 5)))
+    def test_synth_population_frames(self, scale, n_frames, seed):
+        cfg = synth.SynthConfig(scale=scale, n_frames=n_frames, seed=seed)
+        pop = synth.synth_population(cfg, 3)
+        fields = synth._mode_fields(pop.template, cfg, synth.seeded_rng(cfg.seed))
+        for i, seq in enumerate(pop.sequences):
+            ref = _old_subject_sequence(
+                pop.template, fields, pop.weights[i], cfg, pop.motion_scales[i]
+            )
+            assert np.array_equal(vectorize(seq), vectorize(ref))
+
+    @pytest.mark.parametrize("factor", (1.0, 0.843, 1.2))
+    def test_contracted_with_one_factor(self, small_template, factor):
+        template, _ = small_template
+        got = synth.contracted(template, dict.fromkeys(STRUCTURES, factor))
+        want = _old_contracted(template, factor)
+        assert np.array_equal(got.all_vertices(), want.all_vertices())
