@@ -1,9 +1,10 @@
 """The acceptance suite: one callable check per criterion.
 
 Each check builds its own seeded synthetic data, verifies the stated
-tolerances against independent oracles, and reports pass/fail with details.
-``tests/test_acceptance.py`` asserts these; the CLI ``eval`` runs them
-standalone and writes a report.
+tolerances against independent oracles, and returns ``(passed, detail)``.
+``CRITERIA`` names the checks by number, and ``run`` times one of them.
+``tests/test_acceptance.py`` asserts the results; the CLI ``eval`` writes
+their report lines.
 """
 
 import hashlib
@@ -57,9 +58,10 @@ class CriterionResult:
     detail: str
     runtime: float
 
-
-def _result(number, name, passed, detail, t0):
-    return CriterionResult(number, name, bool(passed), detail, time.time() - t0)
+    def line(self):
+        """The report line: status, number, name, runtime and detail."""
+        status = "PASS" if self.passed else "FAIL"
+        return f"[{status}] criterion {self.number}: {self.name} ({self.runtime:.1f}s) {self.detail}"
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +69,6 @@ def _result(number, name, passed, detail, t0):
 
 def criterion_1_ffd():
     """Identity warp exact, translation < 1e-12, gradients vs FD < 1e-5."""
-    t0 = time.time()
     rng = seeded_rng(101)
     grid = ControlGrid((6, 6, 8), origin=(-50, -50, -60), spacing=(20, 20, 20))
     pts = rng.uniform(-45, 45, (300, 3))
@@ -114,13 +115,9 @@ def criterion_1_ffd():
                 if abs(fd) > 1e-3 * gmax:
                     worst = max(worst, abs(grads[gi][idx] - fd) / abs(fd))
     passed = identity_err == 0.0 and translation_err < 1e-12 and worst < 1e-5
-    return _result(
-        1,
-        "FFD correctness",
-        passed,
+    return passed, (
         f"identity {identity_err:g}, translation {translation_err:.2e}, "
-        f"gradient rel err {worst:.2e}",
-        t0,
+        f"gradient rel err {worst:.2e}"
     )
 
 
@@ -131,7 +128,6 @@ def _oracle_symmetric(a, b):
 
 def criterion_2_loss_oracles():
     """Loss terms equal exhaustive oracles; curvature loss rigid-invariant."""
-    t0 = time.time()
     rng = seeded_rng(202)
     cfg = SynthConfig(scale=0.02, n_frames=3, seed=7)
     pop = synth_population(cfg, 1)
@@ -218,19 +214,15 @@ def criterion_2_loss_oracles():
         and curv_self == 0.0
         and abs(curv_rot) < 1e-9
     )
-    return _result(
-        2,
-        "loss-term oracles",
-        passed,
+    return passed, (
         f"recon {recon_err:.1e}, surface {sd_err:.1e}, edge {edge_err:.1e}, "
-        f"cycle {cycle_err:.1e}, curv self {curv_self:g}, rotated {curv_rot:.1e}",
-        t0,
+        f"cycle {cycle_err:.1e}, curv self {curv_self:g}, rotated {curv_rot:.1e}"
     )
 
 
-def criterion_3_motion(n_trials=50):
+def criterion_3_motion():
     """Inject-and-recover on seeded view sets at 64 x 64, T = 10."""
-    t0 = time.time()
+    n_trials = 50
     cfg = SynthConfig(scale=0.05, n_frames=10, seed=11, voxel_size=2.0)
     pop = synth_population(cfg, 1)
     # the fixed 96 x 96 x 128 mm frame comfortably holds this seeded subject
@@ -256,19 +248,14 @@ def criterion_3_motion(n_trials=50):
     median_err = float(np.median(errors))
     win_rate = dice_wins / n_trials
     passed = median_err < 0.5 and win_rate >= 0.95
-    return _result(
-        3,
-        "motion-correction recovery",
-        passed,
+    return passed, (
         f"median displacement error {median_err:.3f} mm, "
-        f"dice improved in {dice_wins}/{n_trials} trials",
-        t0,
+        f"dice improved in {dice_wins}/{n_trials} trials"
     )
 
 
 def criterion_4_fit():
     """Self-reconstruction at the default (~2,700-vertex) template, T = 10."""
-    t0 = time.time()
     cfg = SynthConfig(scale=0.1, n_frames=10, seed=3)
     template, _ = make_template(cfg)
     p0 = template.all_vertices()
@@ -326,20 +313,15 @@ def criterion_4_fit():
         and connectivity_ok
         and cyc < 0.1
     )
-    return _result(
-        4,
-        "self-reconstruction fit",
-        passed,
+    return passed, (
         f"recon {recon0:.2f} -> {recon1:.3f} ({100 * recon1 / recon0:.1f}%), "
         f"assd {worst_assd:.3f} mm (voxel {voxel}), cycle {cyc:.3f}, "
-        f"connectivity {'kept' if connectivity_ok else 'BROKEN'}",
-        t0,
+        f"connectivity {'kept' if connectivity_ok else 'BROKEN'}"
     )
 
 
 def criterion_5_ipca():
     """Streaming PCA matches the batch oracle on a rank-10 dataset."""
-    t0 = time.time()
     rng = seeded_rng(505)
     basis = np.linalg.qr(rng.normal(size=(40, 10)))[0]
     scores = rng.normal(size=(500, 10)) * np.linspace(5, 0.5, 10)
@@ -358,18 +340,11 @@ def criterion_5_ipca():
     recon_batch = (vt[:10].T @ (vt[:10] @ (data - mean).T)).T + mean
     recon_err = float(np.abs(recon_inc - recon_batch).max())
     passed = float(angles.max()) < 1e-6 and recon_err < 1e-8
-    return _result(
-        5,
-        "incremental PCA vs batch oracle",
-        passed,
-        f"max principal angle {angles.max():.2e} rad, recon diff {recon_err:.2e}",
-        t0,
-    )
+    return passed, f"max principal angle {angles.max():.2e} rad, recon diff {recon_err:.2e}"
 
 
 def criterion_6_ssm_curves():
     """Compactness/generalization behaviour and completion trend."""
-    t0 = time.time()
     cfg = SynthConfig(scale=0.03, n_frames=10, seed=21, n_modes=6)
     pop = synth_population(cfg, 120)
     topo = pop.sequences[0].topology()
@@ -401,14 +376,10 @@ def criterion_6_ssm_curves():
             errors[n_obs] = float(np.linalg.norm(diff, axis=1).mean())
         wins += errors[10] < errors[1]
     passed = comp_monotone and comp_full and gen_monotone and wins >= 0.9 * n_subj
-    return _result(
-        6,
-        "shape-model behaviour curves",
-        passed,
+    return passed, (
         f"compactness monotone={comp_monotone} full={comp[-1]:.10f}, "
         f"generalization monotone={gen_monotone}, "
-        f"completion 10-frame wins {wins}/{n_subj}",
-        t0,
+        f"completion 10-frame wins {wins}/{n_subj}"
     )
 
 
@@ -426,13 +397,13 @@ def _criterion_7_subject(model, subject_idx):
     return bool(np.all(rel < 0.10))
 
 
-def criterion_7_contours(n_subjects=30):
+def criterion_7_contours():
     """Descriptor recovery from self-generated sparse contours.
 
     Trials are independent per subject (own seed stream), so results do
     not depend on their order.
     """
-    t0 = time.time()
+    n_subjects = 30
     cfg = SynthConfig(scale=0.04, n_frames=10, seed=21, n_modes=6)
     pop = synth_population(cfg, 70)
     topo = pop.sequences[0].topology()
@@ -443,18 +414,11 @@ def criterion_7_contours(n_subjects=30):
     outcomes = [_criterion_7_subject(model, i) for i in range(n_subjects)]
     ok = sum(outcomes)
     passed = ok >= 0.9 * n_subjects
-    return _result(
-        7,
-        "contour-fitting recovery",
-        passed,
-        f"top-5 weights within 10% for {ok}/{n_subjects} subjects",
-        t0,
-    )
+    return passed, f"top-5 weights within 10% for {ok}/{n_subjects} subjects"
 
 
 def criterion_8_phenotypes():
     """Analytic volume/EF/mass oracles and rigid invariance."""
-    t0 = time.time()
     # cube of side 10 mm = 1 mL
     side = 10.0
     cube_v = (
@@ -529,19 +493,14 @@ def criterion_8_phenotypes():
         and ef_err < 1.0
         and rel < 1e-9
     )
-    return _result(
-        8,
-        "phenotype oracles",
-        passed,
+    return passed, (
         f"cube {cube_err:.1e}, sphere {100 * sphere_err:.2f}%, "
-        f"LVM {100 * lvm_err:.2f}%, EF err {ef_err:.3f}, rigid rel {rel:.1e}",
-        t0,
+        f"LVM {100 * lvm_err:.2f}%, EF err {ef_err:.3f}, rigid rel {rel:.1e}"
     )
 
 
 def criterion_9_population():
     """Retrieval, re-identification, Bonferroni null, truncation direction."""
-    t0 = time.time()
     rng = seeded_rng(909)
 
     n = 400
@@ -578,20 +537,15 @@ def criterion_9_population():
         and null_rate <= 0.001
         and trunc_recall >= full_recall
     )
-    return _result(
-        9,
-        "population analytics",
-        passed,
+    return passed, (
         f"single-group {single:.1f}%, random 2-group {random_prec:.2f}%, "
         f"recall@1 self {recall_self:.1f}%, null significant {100 * null_rate:.3f}%, "
-        f"truncated {trunc_recall:.1f}% vs full {full_recall:.1f}%",
-        t0,
+        f"truncated {trunc_recall:.1f}% vs full {full_recall:.1f}%"
     )
 
 
 def criterion_10_end_to_end(workdir):
     """Full CLI pipeline twice with one seed: artifacts must be byte-identical."""
-    t0 = time.time()
     from .cli import main as cli_main  # lazy: cli imports this module for eval
 
     base = Path(workdir)
@@ -667,7 +621,7 @@ def criterion_10_end_to_end(workdir):
             ]
         )
         if rc != 0:
-            return _result(10, "end-to-end determinism", False, f"CLI exit {rc}", t0)
+            return False, f"CLI exit {rc}"
         tree = {}
         for path in sorted(root.rglob("*")):
             if path.is_file():
@@ -677,32 +631,38 @@ def criterion_10_end_to_end(workdir):
         digests.append(tree)
     same_files = set(digests[0]) == set(digests[1])
     mismatched = [k for k in digests[0] if digests[0][k] != digests[1].get(k)]
-    passed = same_files and not mismatched
-    detail = (
-        f"{len(digests[0])} artifacts byte-identical"
-        if passed
-        else f"mismatch in {mismatched[:5]}"
-    )
-    return _result(10, "end-to-end determinism", passed, detail, t0)
+    if same_files and not mismatched:
+        return True, f"{len(digests[0])} artifacts byte-identical"
+    return False, f"mismatch in {mismatched[:5]}"
+
+
+CRITERIA = {
+    1: ("FFD correctness", criterion_1_ffd),
+    2: ("loss-term oracles", criterion_2_loss_oracles),
+    3: ("motion-correction recovery", criterion_3_motion),
+    4: ("self-reconstruction fit", criterion_4_fit),
+    5: ("incremental PCA vs batch oracle", criterion_5_ipca),
+    6: ("shape-model behaviour curves", criterion_6_ssm_curves),
+    7: ("contour-fitting recovery", criterion_7_contours),
+    8: ("phenotype oracles", criterion_8_phenotypes),
+    9: ("population analytics", criterion_9_population),
+    10: ("end-to-end determinism", criterion_10_end_to_end),
+}
+
+
+def run(number, *args):
+    """Criterion ``number``, timed; only criterion 10 takes an argument, its
+    work directory."""
+    name, check = CRITERIA[number]
+    t0 = time.time()
+    passed, detail = check(*args)
+    return CriterionResult(number, name, bool(passed), detail, time.time() - t0)
 
 
 def run_all(only, workdir):
     """Results of the criteria in ``only`` (all if empty), criterion 10 under ``workdir``."""
-    checks = {
-        1: criterion_1_ffd,
-        2: criterion_2_loss_oracles,
-        3: criterion_3_motion,
-        4: criterion_4_fit,
-        5: criterion_5_ipca,
-        6: criterion_6_ssm_curves,
-        7: criterion_7_contours,
-        8: criterion_8_phenotypes,
-        9: criterion_9_population,
-        10: lambda: criterion_10_end_to_end(workdir),
-    }
-    results = []
-    for number in sorted(checks):
-        if only and number not in only:
-            continue
-        results.append(checks[number]())
-    return results
+    return [
+        run(number, workdir) if number == 10 else run(number)
+        for number in sorted(CRITERIA)
+        if not only or number in only
+    ]

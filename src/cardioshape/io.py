@@ -421,12 +421,10 @@ def save_metric_csv(path, rows):
 
 
 def save_correlation_csv(path, topology, r, p, significant):
-    rows = []
-    vid = 0
-    for s in STRUCTURES:
-        for _ in range(topology.counts[s]):
-            rows.append((vid, s, r[vid], p[vid], int(significant[vid])))
-            vid += 1
+    rows = [
+        (vid, STRUCTURES[label], r[vid], p[vid], int(significant[vid]))
+        for vid, label in enumerate(topology.labels)
+    ]
     save_csv(path, ["vertex_id", "structure", "r", "p", "significant"], rows)
 
 

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
-failure report) and asserts the criterion outcome.  The same checks back the
-``cardioshape eval`` command.
+failure report) and asserts the criterion outcome.  ``acceptance.run`` times
+each check, as it does for the ``cardioshape eval`` command.
 """
 
 import pytest
@@ -10,25 +10,9 @@ import pytest
 from cardioshape import acceptance
 
 
-def _run(number, **kwargs):
-    check = {
-        1: acceptance.criterion_1_ffd,
-        2: acceptance.criterion_2_loss_oracles,
-        3: acceptance.criterion_3_motion,
-        4: acceptance.criterion_4_fit,
-        5: acceptance.criterion_5_ipca,
-        6: acceptance.criterion_6_ssm_curves,
-        7: acceptance.criterion_7_contours,
-        8: acceptance.criterion_8_phenotypes,
-        9: acceptance.criterion_9_population,
-        10: acceptance.criterion_10_end_to_end,
-    }[number]
-    result = check(**kwargs)
-    status = "PASS" if result.passed else "FAIL"
-    print(
-        f"[{status}] criterion {result.number}: {result.name} "
-        f"({result.runtime:.1f}s) {result.detail}"
-    )
+def _run(number, *args):
+    result = acceptance.run(number, *args)
+    print(result.line())
     return result
 
 
@@ -92,6 +76,6 @@ def test_criterion_09_population_analytics():
 
 @pytest.mark.slow
 def test_criterion_10_end_to_end_determinism(tmp_path):
-    result = _run(10, workdir=tmp_path)
+    result = _run(10, tmp_path)
     assert result.passed, result.detail
     assert result.runtime < 900

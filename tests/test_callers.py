@@ -15,9 +15,10 @@ A default (a defaulted parameter, or a defaulted field of a dataclass) is
 checked against the calls of ``src/``, ``demos/`` and ``benchmarks/*.py``
 that reach its function, method or class by name.  A default that no such
 call omits should be required; one that no such call sets should be a
-constant.  A function passed as a value (``timed(fn, ...)``, a dict of
-checks) and a call with ``*args`` or ``**kwargs`` count as both omitting and
-setting every default they may reach.
+constant.  A function passed to a call (``timed(fn, ...)``) and a call with
+``*args`` or ``**kwargs`` count as both omitting and setting every default
+they may reach; a function stored in a dict, tuple or list (a table of
+checks) counts as omitting them.
 
 Every flag that a command (or an ``ssm`` action) of the CLI takes is read by
 it, as ``args.<dest>`` in its function, in ``main`` or in a ``cli`` function
@@ -230,11 +231,13 @@ def default_uses():
     paths = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("demos/*.py"))
     paths += [p for p in sorted(ROOT.glob("benchmarks/*.py")) if p.name != "test_checks.py"]
 
-    def record(entries, call=None):
+    def record(entries, call=None, stored=False):
         for label, positional, defaulted in entries:
             for name in defaulted:
                 key = f"{label}({name})"
-                if call is None or any(isinstance(a, ast.Starred) for a in call.args) or any(
+                if stored:
+                    uses[key].add("omitted")
+                elif call is None or any(isinstance(a, ast.Starred) for a in call.args) or any(
                     k.arg is None for k in call.keywords
                 ):
                     uses[key] |= {"omitted", "set"}
@@ -285,7 +288,8 @@ def default_uses():
                     if not (called or receiver or type_check or annotation):
                         # a function passed as a value; a class so passed is
                         # a type to check or wrap, not a call
-                        record(target(child, owner, ("function", "method")))
+                        stored = isinstance(parent, (ast.Dict, ast.Tuple, ast.List))
+                        record(target(child, owner, ("function", "method")), stored=stored)
                 walk(child, owner)
 
         walk(tree)

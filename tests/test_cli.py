@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from cardioshape import acceptance
 from cardioshape import io as cio
 from cardioshape import motion
 from cardioshape import ssm as cssm
@@ -681,10 +682,28 @@ class TestExitCodes:
         assert f"{short}: 2 frames, the model has 3" in capsys.readouterr().err
         assert not (tmp_path / "corr").exists()
 
-    def test_synth_negative_sigma_names_flag(self, tmp_path, capsys):
-        rc = main(["synth", "--sigma", "-1", "--out", str(tmp_path / "synth")])
+    @pytest.mark.parametrize(
+        "flag, value, bound",
+        [
+            ("--subjects", "0", ">= 1"),
+            ("--scale", "-1", "> 0"),
+            ("--frames", "0", ">= 1"),
+            ("--modes", "1", ">= 2"),
+            ("--voxel-size", "0", "> 0"),
+            ("--sigma", "-1", ">= 0"),
+            ("--sax", "2", ">= 3"),
+            ("--pixel-spacing", "0", "> 0"),
+        ],
+        ids=["subjects", "scale", "frames", "modes", "voxel-size", "sigma", "sax", "pixel-spacing"],
+    )
+    def test_synth_numeric_flag_out_of_bounds_names_flag(self, tmp_path, capsys, flag, value, bound):
+        rc = main(
+            ["synth", "--subjects", "1", "--frames", "2", "--scale", "0.02", "--views",
+             flag, value, "--out", str(tmp_path / "synth")]
+        )
         assert rc == 2
-        assert "--sigma" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{flag} " in err and f": must be {bound}" in err
         assert not (tmp_path / "synth").exists()
 
     @pytest.mark.parametrize("observed", ["3", "9", "-1", "0,x", ""])
@@ -824,3 +843,22 @@ class TestExitCodes:
         assert rc == 2
         assert f"config {tmp_path / 'cfg.json'}: 'dims-coarse' must be a list of 3 items" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestEval:
+    def test_criteria_write_one_report_line_each(self, tmp_path):
+        assert main(["eval", "--criteria", "5", "8", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "acceptance_report.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in lines] == ["[PASS] criterion 5", "[PASS] criterion 8"]
+
+    def test_unknown_criterion_exit_2(self, tmp_path, capsys):
+        rc = main(["eval", "--criteria", "5", "11", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--criteria 11:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_line(self):
+        passed = acceptance.CriterionResult(5, "incremental PCA vs batch oracle", True, "angle 1e-9", 0.31)
+        failed = acceptance.CriterionResult(10, "end-to-end determinism", False, "CLI exit 2", 61.96)
+        assert passed.line() == "[PASS] criterion 5: incremental PCA vs batch oracle (0.3s) angle 1e-9"
+        assert failed.line() == "[FAIL] criterion 10: end-to-end determinism (62.0s) CLI exit 2"
